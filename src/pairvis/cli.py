@@ -1,6 +1,7 @@
 """Command-line interface: density grids, scalar reports, sweeps, validation.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error.
+Exit codes: 0 success, 1 validation failure, 2 configuration error (including
+an unwritable --out path).
 All numeric CSV output uses 17 significant digits so values round-trip
 exactly; outputs are byte-identical regardless of the --threads hint
 (evaluation is deterministic single-stream numpy).
@@ -29,22 +30,12 @@ class ConfigError(ValueError):
     pass
 
 
-_ANGLE_TOKENS = {
-    "0": 0.0,
-    "pi/8": PI / 8.0,
-    "pi/4": PI / 4.0,
-    "3pi/8": 3.0 * PI / 8.0,
-    "pi/2": PI / 2.0,
-    "3pi/4": 3.0 * PI / 4.0,
-}
 _ANGLE_RE = re.compile(r"^(?P<num>\d+)?pi(?:/(?P<den>\d+))?$")
 
 
 def parse_angle(token: str) -> float:
     """Accept symbolic multiples of pi ('3pi/8') or plain float literals."""
     text = token.strip().lower().replace(" ", "")
-    if text in _ANGLE_TOKENS:
-        return _ANGLE_TOKENS[text]
     match = _ANGLE_RE.match(text)
     if match:
         num = int(match.group("num") or 1)
@@ -89,8 +80,11 @@ def _write_text(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _params_from_args(args) -> SetupParams:

@@ -56,6 +56,13 @@ class QuadratureError(RuntimeError):
     """Composite quadrature failed to converge to the requested tolerance."""
 
 
+def _require_positive_tol(tol: float, kind: str) -> None:
+    # two estimates agree within a non-positive (or NaN) tolerance only when
+    # bit-equal, so refinement would run to the node cap before failing
+    if not tol > 0:
+        raise QuadratureError(f"{kind} quadrature cannot converge to tol={tol:g}; it must be positive")
+
+
 def density_at(params: SetupParams, basis: BasisPair, u, v) -> np.ndarray:
     """|psi|^2 at the given coordinates (vectorized)."""
     amp = psi(params, basis, u, v)
@@ -136,6 +143,7 @@ def integrate_1d(
     max_doublings: int = 12,
 ) -> float:
     """Integrate a scalar function, doubling panels until two estimates agree."""
+    _require_positive_tol(tol, "1d")
     panels = max(1, int(min_panels))
     prev: Optional[float] = None
     for _ in range(max_doublings + 1):
@@ -162,6 +170,7 @@ def integrate_1d_batch(
     max_doublings: int = 12,
 ) -> np.ndarray:
     """Vectorized variant: ``f(x)`` returns shape (..., len(x)); converges on max deviation."""
+    _require_positive_tol(tol, "batched 1d")
     panels = max(1, int(min_panels))
     prev: Optional[np.ndarray] = None
     for _ in range(max_doublings + 1):
@@ -209,6 +218,7 @@ def quadrature_2d(
     Raises :class:`QuadratureError` if successive refinements never agree
     within ``tol`` -- an explicit oracle failure rather than a silent bad value.
     """
+    _require_positive_tol(tol, "2d")
     pu, pv = (max(1, int(p)) for p in min_panels)
     prev: Optional[float] = None
     for _ in range(max_doublings + 1):
@@ -296,15 +306,20 @@ class Density2D:
         return float(np.trapezoid(inner, self.grid.u_axis()))
 
     def to_csv_text(self) -> str:
-        u = self.grid.u_axis()
-        v = self.grid.v_axis()
-        lines = ["u,v,value"]
-        for i in range(self.grid.n_u):
-            row = self.values[i]
-            ui = u[i]
-            for j in range(self.grid.n_v):
-                lines.append(f"{ui:.17g},{v[j]:.17g},{row[j]:.17g}")
-        return "\n".join(lines) + "\n"
+        """CSV text: the header ``u,v,value``, then one line per cell.
+
+        Cells are in row-major order with u outer (all v for u_0, then u_1,
+        ...); every number has 17 significant digits, so it round-trips.
+        """
+        # each axis is formatted once and each u-row filled from one template;
+        # "%.17g" and f"{x:.17g}" share one float formatter, so the bytes are
+        # those of formatting every cell on its own
+        v_cells = ["," + ("%.17g" % v) + ",%.17g" for v in self.grid.v_axis().tolist()]
+        rows = ["u,v,value\n"]
+        for u, row in zip(self.grid.u_axis().tolist(), self.values):
+            us = "%.17g" % u
+            rows.append((us + ("\n" + us).join(v_cells) + "\n") % tuple(row.tolist()))
+        return "".join(rows)
 
     def to_json_dict(self) -> dict:
         g = self.grid

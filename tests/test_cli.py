@@ -76,6 +76,19 @@ class TestExitCodes:
         code, _, _ = run(["validate", "--xi", "0.3", "--tol-quad", "-1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["grid", "--a", "4", "--xi", "0.3", "--grid", "8x8"],
+        ["report", "--a", "4", "--xi", "0.3"],
+    ], ids=["grid", "report"])
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    def test_unwritable_out_is_config_error(self, command, target, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.txt" if target == "missing_dir" else tmp_path
+        code, out, err = run(command + ["--out", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
+
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["report", "--xi", "0.3", "--frobnicate"])

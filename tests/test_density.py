@@ -21,6 +21,7 @@ from pairvis import (
     normalization_mass,
     quadrature_2d,
 )
+from pairvis.corrected import corrected_density
 from pairvis.density import basis_domains, integrate_1d, integrate_1d_batch
 from pairvis.state import Axis
 
@@ -41,6 +42,23 @@ class TestIntegrate1d:
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(QuadratureError):
             integrate_1d(lambda x: np.exp(-x * x), -12.0, 12.0, tol=0.0, max_doublings=3)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    @pytest.mark.parametrize("integrate", [
+        lambda f, tol: integrate_1d(f, -1.0, 1.0, tol=tol),
+        lambda f, tol: integrate_1d_batch(f, -1.0, 1.0, tol=tol),
+        lambda f, tol: quadrature_2d(lambda u, v: f(u + v), (-1.0, 1.0), (-1.0, 1.0), tol=tol),
+    ], ids=["1d", "1d_batch", "2d"])
+    def test_non_positive_tolerance_fails_before_evaluating(self, integrate, tol):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.ones_like(x)
+
+        with pytest.raises(QuadratureError):
+            integrate(f, tol)
+        assert calls == []
 
     def test_batch_matches_scalar(self):
         centers = np.array([-1.0, 0.0, 2.0])
@@ -127,6 +145,31 @@ class TestDensity2D:
         parsed = np.array([float(row.split(",")[2]) for row in lines[1:]]).reshape(8, 8)
         np.testing.assert_array_equal(parsed, field.values)
 
+    @pytest.mark.parametrize("basis", [XX, KK, KX, XK], ids=lambda b: b.token)
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 7), (48, 48)])
+    def test_csv_matches_per_cell_formatting(self, basis, shape):
+        p = SetupParams(4.0, 1.0, 2.0, 0.3)
+        field = Density2D.evaluate(p, basis, default_grid(p, basis, *shape))
+        assert field.to_csv_text() == _per_cell_csv(field)
+
+    def test_csv_matches_per_cell_formatting_on_corrected_grid(self):
+        # outside the narrow-slit regime the corrected quasi-distribution dips below 0
+        p = SetupParams(0.3, 0.3, 1.0, 0.3)
+        field = Density2D.evaluate(
+            p, KK, default_grid(p, KK, 48, 48), fn=lambda u, v: corrected_density(p, u, v)
+        )
+        assert float(np.min(field.values)) < 0.0
+        assert field.to_csv_text() == _per_cell_csv(field)
+
+    def test_csv_matches_per_cell_formatting_on_extreme_values(self):
+        p = SetupParams(4.0, 1.0, 2.0, 0.3)
+        special = [-0.0, 5e-324, 1e-300, 1e300, 0.1]
+        values = np.array([special[(i + j) % len(special)] for i in range(3) for j in range(5)])
+        field = Density2D(Grid2D(-1.5, 0.25, 1e-3, 7.0, 3, 5), KK, p, values.reshape(3, 5))
+        text = field.to_csv_text()
+        assert text == _per_cell_csv(field)
+        assert text.split("\n")[1:3] == ["-1.5,0.001,-0", "-1.5,1.7507499999999998,4.9406564584124654e-324"]
+
     def test_json_payload_structure(self):
         p = SetupParams(4.0, 1.0, 2.0, 0.3)
         field = Density2D.evaluate(p, KK, default_grid(p, KK, 4, 6))
@@ -142,6 +185,19 @@ class TestDensity2D:
         doubled = Density2D.evaluate(p, KK, grid, fn=lambda u, v: 2.0 * density_at(p, KK, u, v))
         plain = Density2D.evaluate(p, KK, grid)
         np.testing.assert_allclose(doubled.values, 2.0 * plain.values, rtol=1e-15)
+
+
+def _per_cell_csv(field: Density2D) -> str:
+    """Reference CSV writer: formats u, v and the value afresh for every cell."""
+    u = field.grid.u_axis()
+    v = field.grid.v_axis()
+    lines = ["u,v,value"]
+    for i in range(field.grid.n_u):
+        row = field.values[i]
+        ui = u[i]
+        for j in range(field.grid.n_v):
+            lines.append(f"{ui:.17g},{v[j]:.17g},{row[j]:.17g}")
+    return "\n".join(lines) + "\n"
 
 
 def test_density_is_nonnegative_everywhere():
