@@ -221,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--xi", type=str, default=None, help="entanglement angle (e.g. 0.3, pi/8, 3pi/8)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", type=str, default=None, help="output path ('-' or omitted: stdout)")
-        p.add_argument("--tol-quad", dest="tol_quad", type=float, default=1e-9, help="quadrature tolerance")
         p.add_argument("--threads", type=int, default=1, help="worker hint; results are identical for any value")
         p.add_argument(
             "--convention",
@@ -251,6 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="run the built-in self checks")
     add_common(p_val)
     p_val.add_argument("--quick", action="store_true", help="reduced lattice, a few seconds")
+    p_val.add_argument("--tol-quad", dest="tol_quad", type=float, default=1e-9, help="quadrature tolerance")
 
     return parser
 

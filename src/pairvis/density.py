@@ -23,7 +23,9 @@ from .state import (
     Axis,
     BasisPair,
     SetupParams,
+    axis_factors,
     psi,
+    separable_weights,
 )
 
 PI = math.pi
@@ -50,6 +52,8 @@ __all__ = [
 # memory on ever-finer grids
 _MAX_NODES_1D = 1 << 19
 _MAX_NODES_2D = 1 << 28
+# a positive tolerance below this many ulps of the first estimate fails at once
+_RESOLVABLE_ULPS = 4
 
 
 class QuadratureError(RuntimeError):
@@ -63,10 +67,41 @@ def _require_positive_tol(tol: float, kind: str) -> None:
         raise QuadratureError(f"{kind} quadrature cannot converge to tol={tol:g}; it must be positive")
 
 
+def _require_resolvable_tol(tol: float, estimate: float, kind: str) -> None:
+    # two float64 estimates of size |I| cannot be relied on to agree closer
+    # than a few ulps of |I|; below that, refinement would run to the node cap
+    if tol < _RESOLVABLE_ULPS * np.spacing(abs(estimate)):
+        raise QuadratureError(
+            f"{kind} quadrature cannot converge to tol={tol:g}: it is below the float64 "
+            f"resolution of the estimate {estimate:.17g}"
+        )
+
+
 def density_at(params: SetupParams, basis: BasisPair, u, v) -> np.ndarray:
-    """|psi|^2 at the given coordinates (vectorized)."""
-    amp = psi(params, basis, u, v)
-    return amp.real * amp.real + amp.imag * amp.imag
+    """|psi|^2 at the given coordinates (vectorized).
+
+    When ``u`` and ``v`` broadcast as an outer product (a row of u against a
+    column of v, as on grids and quadrature blocks), the density is built from
+    per-axis tables of psi = alpha E1(u) E2(v) + beta O1(u) O2(v), so a node
+    costs a few multiplications.  Any other layout (rotated lines, slices)
+    evaluates psi point by point.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.size * v.size != np.broadcast(u, v).size:
+        amp = psi(params, basis, u, v)
+        return amp.real * amp.real + amp.imag * amp.imag
+    alpha, beta = separable_weights(params, basis)
+    e1, o1 = axis_factors(params.a, params.h1, basis.first, u)
+    e2, o2 = axis_factors(params.a, params.h2, basis.second, v)
+    e1 *= alpha
+    o1 *= beta
+    if basis.is_mixed:
+        # the odd x odd term is the imaginary part: square the 1-D tables first
+        return (e1 * e1) * (e2 * e2) + (o1 * o1) * (o2 * o2)
+    amp = e1 * e2 + o1 * o2
+    amp *= amp
+    return amp
 
 
 def default_domain(params: SetupParams, axis: Axis, subsystem: int = 1) -> tuple[float, float]:
@@ -153,6 +188,7 @@ def integrate_1d(
         cur = float(np.asarray(f(x), dtype=float) @ w)
         if prev is not None and abs(cur - prev) <= tol:
             return cur
+        _require_resolvable_tol(tol, cur, "1d")
         prev = cur
         panels *= 2
     raise QuadratureError(
@@ -180,6 +216,7 @@ def integrate_1d_batch(
         cur = np.asarray(f(x), dtype=float) @ w
         if prev is not None and float(np.max(np.abs(cur - prev))) <= tol:
             return cur
+        _require_resolvable_tol(tol, float(np.max(np.abs(cur), initial=0.0)), "batched 1d")
         prev = cur
         panels *= 2
     raise QuadratureError(
@@ -229,6 +266,7 @@ def quadrature_2d(
         cur = _eval_2d(f, xu, wu, xv, wv, row_chunk)
         if prev is not None and abs(cur - prev) <= tol:
             return cur
+        _require_resolvable_tol(tol, cur, "2d")
         prev = cur
         pu *= 2
         pv *= 2

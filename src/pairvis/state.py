@@ -158,6 +158,42 @@ def _shifted_gaussians(a: float, h: float, x: np.ndarray) -> tuple[np.ndarray, n
     return np.exp(-a * (x - h) ** 2), np.exp(-a * (x + h) ** 2)
 
 
+def axis_factors(a: float, h: float, axis: Axis, x) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd factor of one subsystem's amplitude along its axis.
+
+    Position: ``g- + g+`` and ``g- - g+`` with the shifted Gaussians
+    g-/+ = e^{-a(x -/+ h)^2}, i.e. 2 e^{-a(x^2+h^2)} cosh(2ahx) and
+    2 e^{-a(x^2+h^2)} sinh(2ahx) without exponentiating a growing argument.
+    Wavenumber: ``e^{-x^2/4a} cos(hx)`` and ``e^{-x^2/4a} sin(hx)``.
+    """
+    x = np.asarray(x, dtype=float)
+    if axis is Axis.POSITION:
+        gm, gp = _shifted_gaussians(a, h, x)
+        return gm + gp, gm - gp
+    env = np.exp(-x * x / (4.0 * a))
+    return env * np.cos(h * x), env * np.sin(h * x)
+
+
+def separable_weights(params: SetupParams, basis: BasisPair) -> tuple[float, float]:
+    """Weights (alpha, beta) of the even x even and odd x odd products.
+
+    With E, O the :func:`axis_factors` of each subsystem, the amplitude is
+    ``alpha E1(u) E2(v) + beta O1(u) O2(v)`` in the pure bases and
+    ``alpha E1(u) E2(v) + 1j beta O1(u) O2(v)`` in the mixed ones.
+    """
+    b = math.sqrt(normalization_b2(params))
+    cx = math.cos(params.xi)
+    sx = math.sin(params.xi)
+    if basis.is_mixed:
+        pref = math.sqrt(2.0 / PI) * b / 2.0
+        return pref * cx, -pref * sx
+    if basis.first is Axis.POSITION:
+        pref = math.sqrt(params.a / PI) * b / 2.0
+        return pref * cx, pref * sx
+    pref = b / math.sqrt(params.a * PI)
+    return pref * cx, -pref * sx
+
+
 def psi_entangled(params: SetupParams, basis: BasisPair, u, v) -> np.ndarray:
     """Amplitude written as a superposition of correlated/anti-correlated branches.
 
@@ -191,23 +227,10 @@ def psi_separable(params: SetupParams, basis: BasisPair, u, v) -> np.ndarray:
     """
     if basis.is_mixed:
         raise UnsupportedBasisError("branch decomposition is defined for pure bases only")
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    a, h1, h2 = params.a, params.h1, params.h2
-    b = math.sqrt(normalization_b2(params))
-    cx = math.cos(params.xi)
-    sx = math.sin(params.xi)
-    if basis.first is Axis.POSITION:
-        # e^{-a(h^2+x^2)} cosh(2ahx) = (e^{-a(x-h)^2} + e^{-a(x+h)^2}) / 2 and
-        # likewise for sinh with a minus sign, so the cosh*cosh / sinh*sinh
-        # products become sums/differences of shifted Gaussians.
-        g1m, g1p = _shifted_gaussians(a, h1, u)
-        g2m, g2p = _shifted_gaussians(a, h2, v)
-        pref = math.sqrt(a / PI) * b / 2.0
-        return pref * ((g1m + g1p) * (g2m + g2p) * cx + (g1m - g1p) * (g2m - g2p) * sx)
-    env = np.exp(-(u * u + v * v) / (4.0 * a))
-    pref = b / math.sqrt(a * PI)
-    return pref * env * (np.cos(h1 * u) * np.cos(h2 * v) * cx - np.sin(h1 * u) * np.sin(h2 * v) * sx)
+    e1, o1 = axis_factors(params.a, params.h1, basis.first, u)
+    e2, o2 = axis_factors(params.a, params.h2, basis.second, v)
+    alpha, beta = separable_weights(params, basis)
+    return alpha * e1 * e2 + beta * o1 * o2
 
 
 def _psi_mixed(params: SetupParams, k1, x2) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import corrected, correlation, density, radon, visibility
-from .state import KK, KX, XK, XX, SetupParams, decomposition_residual
+from .state import KK, KX, XK, XX, SetupParams, decomposition_residual, psi
 
 PI = math.pi
 
@@ -67,7 +67,12 @@ def _normalization_dev(params_list: Iterable[SetupParams], tol_quad: float) -> f
     return worst
 
 
-def _decomposition_dev(params_list: Iterable[SetupParams], n: int = 100_000) -> float:
+def _decomposition_dev(params_list: Iterable[SetupParams], n: int = 100_000, n_axis: int = 300) -> float:
+    """Entangled vs separable amplitude, then factored vs pointwise density.
+
+    The second half compares ``density_at`` on a row of u against a column of
+    v (per-axis factor tables) with |psi|^2 on the matching meshgrid.
+    """
     rng = np.random.default_rng(20260826)
     worst = 0.0
     for params in params_list:
@@ -76,6 +81,14 @@ def _decomposition_dev(params_list: Iterable[SetupParams], n: int = 100_000) -> 
             u = rng.uniform(lo1, hi1, n)
             v = rng.uniform(lo2, hi2, n)
             worst = max(worst, float(np.max(decomposition_residual(params, basis, u, v))))
+        for basis in (XX, KK, KX, XK):
+            (lo1, hi1), (lo2, hi2) = density.basis_domains(params, basis)
+            u = rng.uniform(lo1, hi1, n_axis)
+            v = rng.uniform(lo2, hi2, n_axis)
+            amp = psi(params, basis, *np.meshgrid(u, v, indexing="ij"))
+            pointwise = amp.real * amp.real + amp.imag * amp.imag
+            factored = density.density_at(params, basis, u[:, None], v[None, :])
+            worst = max(worst, float(np.max(np.abs(factored - pointwise))))
     return worst
 
 

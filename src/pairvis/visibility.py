@@ -42,12 +42,8 @@ __all__ = [
     "single_particle_v",
     "two_particle_d",
     "two_particle_w",
-    "visibility_k1",
-    "visibility_k2",
-    "visibility_kpm",
     "visibility_of",
     "visibility_report",
-    "visibility_spm",
 ]
 
 _OBSERVABLES = ("k1", "k2", "k+", "k-", "s+", "s-")
@@ -144,26 +140,6 @@ def visibility_of(env: EnvelopeSet) -> float:
 def _visibility_mp(params: SetupParams, observable: str):
     lower, upper, _ = _envelope_constants_mp(params, observable)
     return abs(upper - lower) / (upper + lower)
-
-
-def visibility_k1(params: SetupParams) -> float:
-    with _mpcore.workdps():
-        return float(_visibility_mp(params, "k1"))
-
-
-def visibility_k2(params: SetupParams) -> float:
-    with _mpcore.workdps():
-        return float(_visibility_mp(params, "k2"))
-
-
-def visibility_kpm(params: SetupParams, sign: int) -> float:
-    with _mpcore.workdps():
-        return float(_visibility_mp(params, "k+" if sign > 0 else "k-"))
-
-
-def visibility_spm(params: SetupParams, sign: int) -> float:
-    with _mpcore.workdps():
-        return float(_visibility_mp(params, "s+" if sign > 0 else "s-"))
 
 
 def single_particle_v_mp(params: SetupParams):

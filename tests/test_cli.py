@@ -94,6 +94,18 @@ class TestExitCodes:
             main(["report", "--xi", "0.3", "--frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["grid", "--xi", "0.3", "--grid", "8x8"],
+        ["report", "--xi", "0.3"],
+        ["sweep", "--xi", "0.3", "--sweep-count", "2"],
+    ], ids=["grid", "report", "sweep"])
+    def test_tol_quad_is_unknown_outside_validate(self, command, capsys):
+        # only validate runs the quadrature oracles, so only it takes --tol-quad
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--tol-quad", "1e-9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol-quad" in capsys.readouterr().err
+
 
 class TestGridCommand:
     def test_csv_grid_to_stdout(self, capsys):

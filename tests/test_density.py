@@ -23,7 +23,7 @@ from pairvis import (
 )
 from pairvis.corrected import corrected_density
 from pairvis.density import basis_domains, integrate_1d, integrate_1d_batch
-from pairvis.state import Axis
+from pairvis.state import Axis, psi
 
 PI = math.pi
 
@@ -59,6 +59,30 @@ class TestIntegrate1d:
         with pytest.raises(QuadratureError):
             integrate(f, tol)
         assert calls == []
+
+    @pytest.mark.parametrize("integrate,integrand", [
+        (lambda g, tol: integrate_1d(g, -6.0, 6.0, tol=tol), lambda x: np.exp(-x * x)),
+        (
+            lambda g, tol: integrate_1d_batch(g, -6.0, 6.0, tol=tol),
+            lambda x: np.array([[1.0], [-3.0]]) * np.exp(-x * x),
+        ),
+        (
+            lambda g, tol: quadrature_2d(g, (-6.0, 6.0), (-6.0, 6.0), tol=tol),
+            lambda u, v: np.exp(-u * u - v * v),
+        ),
+    ], ids=["1d", "1d_batch", "2d"])
+    def test_tolerance_below_float_resolution_fails_fast(self, integrate, integrand):
+        calls = []
+
+        def counted(*xs):
+            calls.append(xs)
+            return integrand(*xs)
+
+        # the message names the tolerance and the estimate (for the batch, its
+        # largest component, 3 sqrt(pi)) that cannot resolve it
+        with pytest.raises(QuadratureError, match=r"tol=1e-300\b.*estimate (1\.77|3\.14|5\.31)"):
+            integrate(counted, 1e-300)
+        assert 1 <= len(calls) <= 2
 
     def test_batch_matches_scalar(self):
         centers = np.array([-1.0, 0.0, 2.0])
@@ -185,6 +209,53 @@ class TestDensity2D:
         doubled = Density2D.evaluate(p, KK, grid, fn=lambda u, v: 2.0 * density_at(p, KK, u, v))
         plain = Density2D.evaluate(p, KK, grid)
         np.testing.assert_allclose(doubled.values, 2.0 * plain.values, rtol=1e-15)
+
+
+_FACTOR_A = (0.3, 2.0, 30.0, 200.0)
+_FACTOR_H = (0.3, 1.0, 2.0)
+_FACTOR_XI = (0.0, PI / 8.0, PI / 4.0, PI / 2.0, 3.0 * PI / 4.0)
+
+
+def _pointwise_density(p, basis, u, v):
+    amp = psi(p, basis, u, v)
+    return amp.real * amp.real + amp.imag * amp.imag
+
+
+class TestFactoredDensity:
+    @pytest.mark.parametrize("basis", [XX, KK, KX, XK], ids=lambda b: b.token)
+    @pytest.mark.parametrize("u_is_column", [True, False], ids=["n1x1m", "1nxm1"])
+    def test_axes_match_pointwise_density(self, basis, u_is_column):
+        for a in _FACTOR_A:
+            for h1 in _FACTOR_H:
+                for h2 in _FACTOR_H:
+                    for xi in _FACTOR_XI:
+                        p = SetupParams(a, h1, h2, xi)
+                        (lo1, hi1), (lo2, hi2) = basis_domains(p, basis)
+                        u = np.linspace(lo1, hi1, 41)
+                        v = np.linspace(lo2, hi2, 37)
+                        u, v = (u[:, None], v[None, :]) if u_is_column else (u[None, :], v[:, None])
+                        got = density_at(p, basis, u, v)
+                        ref = _pointwise_density(p, basis, *np.broadcast_arrays(u, v))
+                        assert got.shape == ref.shape
+                        assert float(np.max(np.abs(got - ref))) <= 1e-12 * float(np.max(ref)), p
+                        assert float(np.min(got)) >= 0.0
+
+    @pytest.mark.parametrize("basis", [XX, KK, KX, XK], ids=lambda b: b.token)
+    def test_same_shape_inputs_keep_pointwise_bits(self, basis):
+        p = SetupParams(30.0, 1.0, 2.0, 0.3)
+        (_, hi1), (_, hi2) = basis_domains(p, basis)
+        half = max(hi1, hi2)
+        s = np.linspace(-half, half, 51)
+        t = np.linspace(-1.4 * half, 1.4 * half, 97)
+        c, sn = math.cos(0.7), math.sin(0.7)
+        layouts = [
+            # radon_numeric: a rotated (s, t) block
+            (s[:, None] * c - t[None, :] * sn, s[:, None] * sn + t[None, :] * c),
+            # slice_numeric: one rotated line at a transverse offset
+            (s * c - 0.1 * half * sn, s * sn + 0.1 * half * c),
+        ]
+        for u, v in layouts:
+            assert density_at(p, basis, u, v).tobytes() == _pointwise_density(p, basis, u, v).tobytes()
 
 
 def _per_cell_csv(field: Density2D) -> str:
