@@ -31,7 +31,7 @@ import numpy as np
 from . import _mpcore
 from .density import density_at
 from .radon import marginal_k1, marginal_k2
-from .state import KK, SetupParams, normalization_b2
+from .state import KK, SetupParams, _slits_equal, normalization_b2
 
 PI = math.pi
 
@@ -132,10 +132,6 @@ def _pinned_constant_mp(params: SetupParams, sign: int, which: str, convention: 
         - (b4 / 8) * (1 + e2 * c2 + (c2 + e2) * c2a) * (1 + e1 * c2 + (c2 + e1) * c2b)
         + (b4_add / 8) * (1 + e2 * c2a) * (1 + e1 * c2b)
     )
-
-
-def _slits_equal(params: SetupParams) -> bool:
-    return abs(params.h1 - params.h2) <= 1e-12 * max(params.h1, params.h2)
 
 
 @dataclass

@@ -136,12 +136,9 @@ def radon_numeric(
     pu, pv = basis_panel_hints(params, basis)
     widths = ((u_hi - u_lo) / pu, (v_hi - v_lo) / pv)
     panels = int(math.ceil(2.0 * half / min(widths)))
-    c, sn = math.cos(angle.phi), math.sin(angle.phi)
 
     def along_line(t: np.ndarray) -> np.ndarray:
-        k1 = s[:, None] * c - t[None, :] * sn
-        k2 = s[:, None] * sn + t[None, :] * c
-        return density_at(params, basis, k1, k2)
+        return density_at(params, basis, s[:, None], t[None, :], phi=angle.phi)
 
     values = integrate_1d_batch(along_line, -half, half, tol=tol, min_panels=panels)
     return Marginal1D(observable=angle.label, phi=angle.phi, s=s, values=values)

@@ -141,17 +141,32 @@ def normalization_b2(params: SetupParams) -> float:
     Always positive; at most 2 when cos 2xi >= 0, and bounded above by
     ``2 / ((1 - e^{-2a h1^2}) (1 - e^{-2a h2^2}))`` in general.
 
-    Evaluated as ``2 / (1 + e^{-2a(h1^2+h2^2)} + (e^{-2a h1^2} + e^{-2a h2^2}) cos 2xi)``,
-    which only ever exponentiates negative arguments.
+    ``2 / B^2 = 1 + e1 e2 + (e1 + e2) cos 2xi`` with e_i = e^{-2a h_i^2}.  For
+    cos 2xi >= 0 every term is non-negative and the sum is taken as written.
+    Otherwise it cancels down to O(a^2 h1^2 h2^2) near xi = pi/2 and small a, so
+    it is taken as ``(1 + c e1)(1 + c e2) + e1 e2 sin^2 2xi`` (c = cos 2xi) with
+    ``1 + c e_i = 2 cos^2 xi + c expm1(-2a h_i^2)``, a sum of non-negative
+    terms.  Only negative arguments are exponentiated.
     """
     a, h1, h2 = params.a, params.h1, params.h2
     c2 = math.cos(2.0 * params.xi)
-    denom = (
-        1.0
-        + math.exp(-2.0 * a * (h1 * h1 + h2 * h2))
-        + (math.exp(-2.0 * a * h1 * h1) + math.exp(-2.0 * a * h2 * h2)) * c2
-    )
+    if c2 >= 0.0:
+        denom = (
+            1.0
+            + math.exp(-2.0 * a * (h1 * h1 + h2 * h2))
+            + (math.exp(-2.0 * a * h1 * h1) + math.exp(-2.0 * a * h2 * h2)) * c2
+        )
+        return 2.0 / denom
+    s2 = math.sin(2.0 * params.xi)
+    cos2 = 2.0 * math.cos(params.xi) ** 2
+    denom = (cos2 + c2 * math.expm1(-2.0 * a * h1 * h1)) * (
+        cos2 + c2 * math.expm1(-2.0 * a * h2 * h2)
+    ) + math.exp(-2.0 * a * (h1 * h1 + h2 * h2)) * s2 * s2
     return 2.0 / denom
+
+
+def _slits_equal(params: SetupParams) -> bool:
+    return abs(params.h1 - params.h2) <= 1e-12 * max(params.h1, params.h2)
 
 
 def _shifted_gaussians(a: float, h: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,6 +187,56 @@ def axis_factors(a: float, h: float, axis: Axis, x) -> tuple[np.ndarray, np.ndar
         return gm + gp, gm - gp
     env = np.exp(-x * x / (4.0 * a))
     return env * np.cos(h * x), env * np.sin(h * x)
+
+
+def line_factors(
+    params: SetupParams, basis: BasisPair, phi: float, s, t
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-4 tables of the amplitude on a rotated (s, t) mesh, pure bases only.
+
+    Returns S of shape (len(s), 4) and T of shape (4, len(t)) with
+    ``psi(s cos(phi) - t sin(phi), s sin(phi) + t cos(phi)) = S @ T``.  A
+    rotation keeps distances and maps linear phases to linear phases, so:
+
+    - wavenumber: the envelope splits as e^{-s^2/4a} e^{-t^2/4a} and each
+      branch cosine cos(h1 k1 +/- h2 k2) becomes cos(A s + B t), split into
+      cos cos - sin sin;
+    - position: each of the four shifted-Gaussian products is e^{-a(s - s0)^2}
+      e^{-a(t - t0)^2} about its slit centre (s0, t0) in the rotated frame.
+    """
+    if basis.is_mixed:
+        raise UnsupportedBasisError("rotated factor tables are defined for pure bases only")
+    s = np.asarray(s, dtype=float).ravel()
+    t = np.asarray(t, dtype=float).ravel()
+    a, h1, h2 = params.a, params.h1, params.h2
+    b = math.sqrt(normalization_b2(params))
+    cp = math.cos(PI / 4.0 - params.xi)
+    sp = math.sin(PI / 4.0 - params.xi)
+    c, sn = math.cos(phi), math.sin(phi)
+    if basis.first is Axis.POSITION:
+        pref = math.sqrt(a / (2.0 * PI)) * b
+        # slit centres (+-h1, +-h2) rotated into the (s, t) frame
+        centres = ((h1, h2, cp), (-h1, -h2, cp), (h1, -h2, sp), (-h1, h2, sp))
+        s0 = np.array([x * c + y * sn for x, y, _ in centres])
+        t0 = np.array([y * c - x * sn for x, y, _ in centres])
+        weights = pref * np.array([w for _, _, w in centres])
+        s_tab = weights * np.exp(-a * (s[:, None] - s0) ** 2)
+        t_tab = np.exp(-a * (t[None, :] - t0[:, None]) ** 2)
+        return s_tab, t_tab
+    pref = b / math.sqrt(2.0 * a * PI)
+    # h1 k1 + h2 k2 = A1 s + B1 t and h1 k1 - h2 k2 = A2 s + B2 t
+    a1, b1 = h1 * c + h2 * sn, h2 * c - h1 * sn
+    a2, b2 = h1 * c - h2 * sn, -h1 * sn - h2 * c
+    s_env = pref * np.exp(-s * s / (4.0 * a))
+    t_env = np.exp(-t * t / (4.0 * a))
+    s_tab = np.stack(
+        [cp * np.cos(a1 * s), -cp * np.sin(a1 * s), sp * np.cos(a2 * s), -sp * np.sin(a2 * s)],
+        axis=1,
+    )
+    s_tab *= s_env[:, None]
+    t_tab = np.stack([np.cos(b1 * t), np.sin(b1 * t), np.cos(b2 * t), np.sin(b2 * t)])
+    t_tab *= t_env
+    return s_tab, t_tab
 
 
 def separable_weights(params: SetupParams, basis: BasisPair) -> tuple[float, float]:

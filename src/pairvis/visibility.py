@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _mpcore
 from .radon import marginal_k1, marginal_k2, marginal_kpm, marginal_spm
-from .state import SetupParams, normalization_b2
+from .state import SetupParams, _slits_equal, normalization_b2
 
 PI = math.pi
 
@@ -200,10 +200,6 @@ class PinCheckResult:
     simultaneous: bool
     pins: tuple[float, ...]
     max_deviation: Optional[float]
-
-
-def _slits_equal(params: SetupParams) -> bool:
-    return abs(params.h1 - params.h2) <= 1e-12 * max(params.h1, params.h2)
 
 
 def envelope_pin_check(params: SetupParams, observable: str) -> PinCheckResult:

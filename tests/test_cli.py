@@ -151,6 +151,17 @@ class TestGridCommand:
         assert code == 0
         assert out.startswith("u,v,value")
 
+    def test_tiny_squeezing_at_anticorrelated_angle(self, capsys):
+        # B^2 ~ 2e18 here: its denominator is (1 - e1)(1 - e2) ~ 1e-18
+        code, out, _ = run(
+            ["grid", "--a", "1e-8", "--h1", "0.01", "--h2", "5", "--xi", "1.5707963267948966", "--grid", "4x4"],
+            capsys,
+        )
+        assert code == 0
+        rows = out.strip().split("\n")
+        assert rows[0] == "u,v,value" and len(rows) == 1 + 16
+        assert all(math.isfinite(float(row.split(",")[2])) for row in rows[1:])
+
     def test_writes_file(self, tmp_path, capsys):
         target = tmp_path / "grid.csv"
         code, out, _ = run(

@@ -23,6 +23,7 @@ from pairvis import (
 )
 from pairvis.corrected import corrected_density
 from pairvis.density import basis_domains, integrate_1d, integrate_1d_batch
+from pairvis.radon import radon_numeric
 from pairvis.state import Axis, psi
 
 PI = math.pi
@@ -256,6 +257,84 @@ class TestFactoredDensity:
         ]
         for u, v in layouts:
             assert density_at(p, basis, u, v).tobytes() == _pointwise_density(p, basis, u, v).tobytes()
+
+
+def _generic_angles(rng, n):
+    # away from 0 and +-pi/2, where the rotation degenerates to an axis swap
+    return rng.uniform(0.1, PI / 2.0 - 0.1, n) * rng.choice((-1.0, 1.0), n)
+
+
+def _rotated_density(p, basis, phi, s, t):
+    c, sn = math.cos(phi), math.sin(phi)
+    return _pointwise_density(p, basis, s * c - t * sn, s * sn + t * c)
+
+
+def _line_half(p, basis):
+    # the half-length of radon_numeric's line integral
+    (_, hi1), (_, hi2) = basis_domains(p, basis)
+    return math.sqrt(2.0) * max(hi1, hi2)
+
+
+class TestRotatedDensity:
+    @pytest.mark.parametrize("basis", [XX, KK], ids=lambda b: b.token)
+    @pytest.mark.parametrize("s_is_column", [True, False], ids=["n1x1m", "1nxm1"])
+    def test_line_meshes_match_pointwise_density(self, basis, s_is_column):
+        rng = np.random.default_rng(606)
+        for a in _FACTOR_A:
+            for h1 in _FACTOR_H:
+                for h2 in _FACTOR_H:
+                    for xi in _FACTOR_XI:
+                        p = SetupParams(a, h1, h2, xi)
+                        half = _line_half(p, basis)
+                        s = np.linspace(-half, half, 41)
+                        t = np.linspace(-half, half, 37)
+                        s, t = (s[:, None], t[None, :]) if s_is_column else (s[None, :], t[:, None])
+                        for phi in _generic_angles(rng, 2):
+                            got = density_at(p, basis, s, t, phi=phi)
+                            ref = _rotated_density(p, basis, phi, *np.broadcast_arrays(s, t))
+                            assert got.shape == ref.shape
+                            assert float(np.max(np.abs(got - ref))) <= 1e-12 * float(np.max(ref)), (p, phi)
+                            assert float(np.min(got)) >= 0.0
+
+    @pytest.mark.parametrize("basis", [XX, KK, KX, XK], ids=lambda b: b.token)
+    def test_pointwise_fallback_keeps_bits(self, basis):
+        p = SetupParams(30.0, 1.0, 2.0, 0.3)
+        half = _line_half(p, basis)
+        s = np.linspace(-half, half, 51)
+        t = np.linspace(-half, half, 97)
+        phi = 0.7
+        # same-shape inputs in every basis, and line meshes in the mixed bases
+        layouts = [np.meshgrid(s, t, indexing="ij"), (s, 0.1 * half * np.ones_like(s))]
+        if basis.is_mixed:
+            layouts.append((s[:, None], t[None, :]))
+        for u, v in layouts:
+            expected = _rotated_density(p, basis, phi, u, v)
+            assert density_at(p, basis, u, v, phi=phi).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("basis", [XX, KK, KX, XK], ids=lambda b: b.token)
+    def test_zero_angle_is_the_unrotated_density(self, basis):
+        p = SetupParams(5.0, 1.0, 2.0, 1.1)
+        (lo1, hi1), (lo2, hi2) = basis_domains(p, basis)
+        u = np.linspace(lo1, hi1, 33)
+        v = np.linspace(lo2, hi2, 29)
+        for uu, vv in [(u[:, None], v[None, :]), (u[None, :], v[:, None]), np.meshgrid(u, v)]:
+            assert density_at(p, basis, uu, vv, phi=0.0).tobytes() == density_at(p, basis, uu, vv).tobytes()
+
+    @pytest.mark.parametrize("basis", [XX, KK], ids=lambda b: b.token)
+    @pytest.mark.parametrize("phi", [0.1, 0.77, -1.2])
+    def test_radon_numeric_matches_pointwise_line_integral(self, basis, phi):
+        for p in (SetupParams(2.0, 1.0, 1.0, 0.3), SetupParams(30.0, 1.0, 2.0, 2.0)):
+            half = _line_half(p, basis)
+            s = np.linspace(-0.8 * half, 0.8 * half, 41)
+            got = radon_numeric(p, phi, s, basis=basis, tol=1e-12).values
+            ref = integrate_1d_batch(
+                lambda t: _rotated_density(p, basis, phi, s[:, None], t[None, :]),
+                -half,
+                half,
+                tol=1e-12,
+                min_panels=256,
+            )
+            assert float(np.max(np.abs(got - ref))) <= 1e-12 * float(np.max(ref)), p
 
 
 def _per_cell_csv(field: Density2D) -> str:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from pairvis import (
     psi,
     rescale_second_subsystem,
 )
+from pairvis import _mpcore
 from pairvis.state import psi_entangled, psi_separable
 
 PI = math.pi
@@ -112,6 +114,19 @@ class TestNormalizationConstant:
         assert 0.0 < b2 <= 2.0 / ((1.0 - e1) * (1.0 - e2)) * (1.0 + 1e-12)
         if math.cos(2.0 * p.xi) >= 0.0:
             assert b2 <= 2.0 + 1e-12
+
+    def test_matches_extended_precision_over_wide_domain(self):
+        # 1 + e1 e2 + (e1 + e2) cos 2xi cancels to O(a^2 h1^2 h2^2) at xi = pi/2
+        # and small a; the float form must keep full relative accuracy there
+        xis = (0.0, PI / 8.0, PI / 4.0, 3.0 * PI / 8.0, PI / 2.0, 3.0 * PI / 4.0)
+        with mpmath.workdps(60):
+            for a in np.logspace(-8.0, 3.0, 23):
+                for h1, h2 in ((1.0, 1.0), (1.0, 2.0), (0.01, 5.0)):
+                    for xi in xis:
+                        p = SetupParams(float(a), h1, h2, xi)
+                        ref = _mpcore.b2(p.a, p.h1, p.h2, p.xi)
+                        rel = abs((mpmath.mpf(normalization_b2(p)) - ref) / ref)
+                        assert rel <= 1e-14, (p, float(rel))
 
     def test_overflow_safe_at_extreme_squeezing(self):
         p = SetupParams(5000.0, 3.0, 3.0, 0.3)
