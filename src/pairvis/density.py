@@ -78,10 +78,9 @@ def _require_resolvable_tol(tol: float, estimate: float, kind: str) -> None:
         )
 
 
-def _outer_order(u: np.ndarray, v: np.ndarray) -> Optional[bool]:
+def _outer_order(u: np.ndarray, v: np.ndarray, shape: tuple) -> Optional[bool]:
     """For outer-product inputs: True if u's varying axes precede v's, False if
     they follow, None if they interleave or u and v do not form an outer product."""
-    shape = np.broadcast(u, v).shape
     if u.size * v.size != math.prod(shape):
         return None
     ndim = len(shape)
@@ -111,14 +110,14 @@ def density_at(params: SetupParams, basis: BasisPair, u, v, phi: float = 0.0) ->
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if phi != 0.0:
-        order = None if basis.is_mixed else _outer_order(u, v)
+        shape = np.broadcast(u, v).shape
+        order = None if basis.is_mixed else _outer_order(u, v, shape)
         if order is None:
             c, sn = math.cos(phi), math.sin(phi)
             amp = psi(params, basis, u * c - v * sn, u * sn + v * c)
             return amp.real * amp.real + amp.imag * amp.imag
         s_tab, t_tab = line_factors(params, basis, phi, u, v)
-        amp = s_tab @ t_tab if order else t_tab.T @ s_tab.T
-        amp = amp.reshape(np.broadcast(u, v).shape)
+        amp = (s_tab @ t_tab if order else t_tab.T @ s_tab.T).reshape(shape)
         amp *= amp
         return amp
     if u.size * v.size != np.broadcast(u, v).size:

@@ -250,7 +250,7 @@ class TestFactoredDensity:
         t = np.linspace(-1.4 * half, 1.4 * half, 97)
         c, sn = math.cos(0.7), math.sin(0.7)
         layouts = [
-            # radon_numeric: a rotated (s, t) block
+            # a rotated (s, t) block passed as full coordinate arrays
             (s[:, None] * c - t[None, :] * sn, s[:, None] * sn + t[None, :] * c),
             # slice_numeric: one rotated line at a transverse offset
             (s * c - 0.1 * half * sn, s * sn + 0.1 * half * c),
@@ -303,8 +303,13 @@ class TestRotatedDensity:
         s = np.linspace(-half, half, 51)
         t = np.linspace(-half, half, 97)
         phi = 0.7
-        # same-shape inputs in every basis, and line meshes in the mixed bases
-        layouts = [np.meshgrid(s, t, indexing="ij"), (s, 0.1 * half * np.ones_like(s))]
+        # same-shape inputs and interleaved outer products in every basis, and
+        # line meshes in the mixed bases
+        layouts = [
+            np.meshgrid(s, t, indexing="ij"),
+            (s, 0.1 * half * np.ones_like(s)),
+            (s[:6].reshape(2, 1, 3), t[:5].reshape(1, 5, 1)),
+        ]
         if basis.is_mixed:
             layouts.append((s[:, None], t[None, :]))
         for u, v in layouts:
