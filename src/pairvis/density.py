@@ -78,21 +78,6 @@ def _require_resolvable_tol(tol: float, estimate: float, kind: str) -> None:
         )
 
 
-def _outer_order(u: np.ndarray, v: np.ndarray, shape: tuple) -> Optional[bool]:
-    """For outer-product inputs: True if u's varying axes precede v's, False if
-    they follow, None if they interleave or u and v do not form an outer product."""
-    if u.size * v.size != math.prod(shape):
-        return None
-    ndim = len(shape)
-    u_axes = [i for i, n in enumerate((1,) * (ndim - u.ndim) + u.shape) if n > 1]
-    v_axes = [i for i, n in enumerate((1,) * (ndim - v.ndim) + v.shape) if n > 1]
-    if not u_axes or not v_axes or u_axes[-1] < v_axes[0]:
-        return True
-    if v_axes[-1] < u_axes[0]:
-        return False
-    return None
-
-
 def density_at(params: SetupParams, basis: BasisPair, u, v, phi: float = 0.0) -> np.ndarray:
     """|psi|^2 at the given coordinates (vectorized).
 
@@ -100,24 +85,23 @@ def density_at(params: SetupParams, basis: BasisPair, u, v, phi: float = 0.0) ->
     is taken at ``(s cos(phi) - t sin(phi), s sin(phi) + t cos(phi))``.
 
     When ``u`` and ``v`` broadcast as an outer product (a row of u against a
-    column of v, as on grids, quadrature blocks and Radon line meshes), the
-    density is built from factor tables, so a node costs a few
-    multiplications: per-axis tables of psi = alpha E1(u) E2(v) + beta O1(u)
-    O2(v) at ``phi == 0``, and the rank-4 rotated-frame tables of
-    :func:`line_factors` otherwise (pure bases only).  Any other layout
-    (slices, mixed bases at ``phi != 0``) evaluates psi point by point.
+    column of v, as on grids and quadrature blocks), the density is built from
+    per-axis tables of psi = alpha E1(u) E2(v) + beta O1(u) O2(v), so a node
+    costs a few multiplications.  At ``phi != 0`` the Radon line mesh of an
+    (n, 1) column of s against a (1, m) row of t takes the rank-4
+    rotated-frame tables of :func:`line_factors` in the pure bases.  Any other
+    layout (slices, mixed bases at ``phi != 0``) evaluates psi point by point.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if phi != 0.0:
-        shape = np.broadcast(u, v).shape
-        order = None if basis.is_mixed else _outer_order(u, v, shape)
-        if order is None:
+        line_mesh = u.ndim == v.ndim == 2 and u.shape[1] == 1 and v.shape[0] == 1
+        if basis.is_mixed or not line_mesh:
             c, sn = math.cos(phi), math.sin(phi)
             amp = psi(params, basis, u * c - v * sn, u * sn + v * c)
             return amp.real * amp.real + amp.imag * amp.imag
         s_tab, t_tab = line_factors(params, basis, phi, u, v)
-        amp = (s_tab @ t_tab if order else t_tab.T @ s_tab.T).reshape(shape)
+        amp = s_tab @ t_tab
         amp *= amp
         return amp
     if u.size * v.size != np.broadcast(u, v).size:

@@ -71,14 +71,14 @@ def _decomposition_dev(
     params_list: Iterable[SetupParams],
     n: int = 100_000,
     n_axis: int = 300,
-    line_shape: tuple[int, int] = (51, 200),
 ) -> float:
     """Entangled vs separable amplitude, then factored vs pointwise density.
 
     The second half compares ``density_at`` on a row of u against a column of
     v (per-axis factor tables) with |psi|^2 on the matching meshgrid, and
-    ``density_at`` on Radon line meshes at two seeded generic angles in the
-    pure bases (rotated-frame tables) with |psi|^2 at the rotated coordinates.
+    ``density_at`` on 51 x 200 Radon line meshes at two seeded generic angles
+    in the pure bases (rotated-frame tables) with |psi|^2 at the rotated
+    coordinates, 10,200 psi points per mesh.
     """
     rng = np.random.default_rng(20260826)
     line_rng = np.random.default_rng(20261018)
@@ -102,8 +102,8 @@ def _decomposition_dev(
             half = math.sqrt(2.0) * max(hi1, hi2)
             # generic angles: away from 0 and +-pi/2, where the rotation degenerates
             for phi in line_rng.uniform(0.1, PI / 2.0 - 0.1, 2) * line_rng.choice((-1.0, 1.0), 2):
-                s = line_rng.uniform(-half, half, line_shape[0])[:, None]
-                t = line_rng.uniform(-half, half, line_shape[1])[None, :]
+                s = line_rng.uniform(-half, half, 51)[:, None]
+                t = line_rng.uniform(-half, half, 200)[None, :]
                 c, sn = math.cos(phi), math.sin(phi)
                 amp = psi(params, basis, s * c - t * sn, s * sn + t * c)
                 pointwise = amp.real * amp.real + amp.imag * amp.imag
