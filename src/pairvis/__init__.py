@@ -32,6 +32,7 @@ from .radon import (
     Marginal1D,
     MarginalKind,
     RadonAngle,
+    marginal_at,
     marginal_k1,
     marginal_k2,
     marginal_kpm,

@@ -17,15 +17,19 @@ import numpy as np
 
 from .density import basis_domains, basis_panel_hints, integrate_1d_batch
 from .density import density_at
-from .state import KK, BasisPair, SetupParams, normalization_b2
+from .state import KK, BasisPair, SetupParams, _line_frequencies, normalization_b2
 
 PI = math.pi
+
+OBSERVABLES = ("k1", "k2", "k+", "k-", "s+", "s-")
 
 __all__ = [
     "Marginal1D",
     "MarginalKind",
+    "OBSERVABLES",
     "RadonAngle",
     "default_s_axis",
+    "marginal_at",
     "marginal_k1",
     "marginal_k2",
     "marginal_kpm",
@@ -71,12 +75,24 @@ class RadonAngle:
         return cls(-PI / 4.0, "k-")
 
     @classmethod
+    def named(cls, label: str, params: SetupParams) -> "RadonAngle":
+        """Direction of one of the named OBSERVABLES; other labels raise ValueError."""
+        if label not in OBSERVABLES:
+            raise ValueError(f"unknown observable {label!r}; expected one of {OBSERVABLES}")
+        splus = splus_angle(params)
+        return cls(dict(zip(OBSERVABLES, (0.0, PI / 2.0, PI / 4.0, -PI / 4.0, splus, -splus)))[label], label)
+
+    @classmethod
     def splus(cls, params: SetupParams) -> "RadonAngle":
         return cls(splus_angle(params), "s+")
 
     @classmethod
     def sminus(cls, params: SetupParams) -> "RadonAngle":
         return cls(-splus_angle(params), "s-")
+
+
+def _as_angle(phi) -> RadonAngle:
+    return phi if isinstance(phi, RadonAngle) else RadonAngle(float(phi))
 
 
 def splus_angle(params: SetupParams) -> float:
@@ -128,7 +144,7 @@ def radon_numeric(
     tol: float = 1e-10,
 ) -> Marginal1D:
     """Line-integral marginal along angle phi, via batched 1d quadrature."""
-    angle = phi if isinstance(phi, RadonAngle) else RadonAngle(float(phi))
+    angle = _as_angle(phi)
     s = np.asarray(s_axis, dtype=float)
     (u_lo, u_hi), (v_lo, v_hi) = basis_domains(params, basis)
     # the rotated line can traverse the corner of the rectangular domain
@@ -152,7 +168,7 @@ def slice_numeric(
     basis: BasisPair = KK,
 ) -> Marginal1D:
     """Density along the rotated line at fixed transverse offset (no integration)."""
-    angle = phi if isinstance(phi, RadonAngle) else RadonAngle(float(phi))
+    angle = _as_angle(phi)
     s = np.asarray(s_axis, dtype=float)
     c, sn = math.cos(angle.phi), math.sin(angle.phi)
     k1 = s * c - offset * sn
@@ -168,68 +184,50 @@ def slice_numeric(
     )
 
 
+def _marginal_brace(params: SetupParams, phi: float, s: np.ndarray) -> np.ndarray:
+    """The brace of :func:`marginal_at`: the marginal without its Gaussian prefactor."""
+    a = params.a
+    a1, b1, a2, b2 = _line_frequencies(params, phi)
+    cp = math.cos(PI / 4.0 - params.xi)
+    sp = math.sin(PI / 4.0 - params.xi)
+    # one term per cosine of |psi|^2: ∫ e^{-t^2/2a} cos(αs + βt) dt = sqrt(2πa) e^{-aβ^2/2} cos(αs)
+    terms = ((cp * cp / 2.0, 2.0 * a1, 2.0 * b1), (sp * sp / 2.0, 2.0 * a2, 2.0 * b2),
+             (cp * sp, a1 + a2, b1 + b2), (cp * sp, a1 - a2, b1 - b2))
+    return 0.5 + sum(w * math.exp(-a * beta * beta / 2.0) * np.cos(alpha * s) for w, alpha, beta in terms)
+
+
+def marginal_at(params: SetupParams, phi, s) -> np.ndarray:
+    """Closed-form Radon marginal of the wavenumber density at any angle phi (float or RadonAngle).
+
+    |psi|^2 on the rotated line (branch phases A1 s + B1 t and A2 s + B2 t as in
+    ``state.line_factors``; cp = cos(π/4 - xi), sp = sin(π/4 - xi)) integrated over t:
+
+        P(s) = B^2/sqrt(2πa) e^{-s^2/2a} [1/2 + cp^2/2 e^{-2aB1^2} cos 2A1 s + sp^2/2 e^{-2aB2^2} cos 2A2 s
+               + cp sp (e^{-a(B1+B2)^2/2} cos (A1+A2) s + e^{-a(B1-B2)^2/2} cos (A1-A2) s)]
+    """
+    s = np.asarray(s, dtype=float)
+    pref = normalization_b2(params) / math.sqrt(2.0 * PI * params.a) * np.exp(-s * s / (2.0 * params.a))
+    return pref * _marginal_brace(params, _as_angle(phi).phi, s)
+
+
 def marginal_k1(params: SetupParams, k1) -> np.ndarray:
     """Closed-form single-particle wavenumber marginal of the first subsystem."""
-    k = np.asarray(k1, dtype=float)
-    a, h1, h2 = params.a, params.h1, params.h2
-    b2 = normalization_b2(params)
-    c2 = math.cos(2.0 * params.xi)
-    e2 = math.exp(-2.0 * a * h2 * h2)
-    pref = b2 * np.exp(-k * k / (2.0 * a)) / (2.0 * math.sqrt(2.0 * a * PI))
-    osc = np.cos(2.0 * h1 * k)
-    return pref * (e2 * (osc + c2) + 1.0 + osc * c2)
+    return marginal_at(params, RadonAngle.k1(), k1)
 
 
 def marginal_k2(params: SetupParams, k2) -> np.ndarray:
-    return marginal_k1(params.swapped(), k2)
+    return marginal_at(params, RadonAngle.k2(), k2)
 
 
 def marginal_kpm(params: SetupParams, sign: int, k) -> np.ndarray:
     """Closed-form marginal along the k+/k- diagonals (sign = +1 or -1)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    k = np.asarray(k, dtype=float)
-    a, h1, h2 = params.a, params.h1, params.h2
-    b2 = normalization_b2(params)
-    c2 = math.cos(2.0 * params.xi)
-    s2 = math.sin(2.0 * params.xi)
-    r2 = math.sqrt(2.0)
-    pref = b2 * np.exp(-k * k / (2.0 * a)) / (4.0 * math.sqrt(2.0 * a * PI))
-    t = (
-        2.0
-        + 2.0
-        * (
-            math.exp(-a * h1 * h1) * np.cos(r2 * h1 * k)
-            + math.exp(-a * h2 * h2) * np.cos(r2 * h2 * k)
-        )
-        * c2
-        + math.exp(-a * (h1 + h2) ** 2) * np.cos(r2 * (h1 - h2) * k) * (1.0 - sign * s2)
-        + math.exp(-a * (h1 - h2) ** 2) * np.cos(r2 * (h1 + h2) * k) * (1.0 + sign * s2)
-    )
-    return pref * t
+    return marginal_at(params, sign * PI / 4.0, k)
 
 
 def marginal_spm(params: SetupParams, sign: int, s) -> np.ndarray:
     """Closed-form marginal along the slit-weighted diagonals s+/s-."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    s_arr = np.asarray(s, dtype=float)
-    a, h1, h2 = params.a, params.h1, params.h2
-    hh1, hh2 = h1 * h1, h2 * h2
-    bigh = hh1 + hh2
-    rh = math.sqrt(bigh)
-    g = hh1 * hh2 / bigh
-    b2 = normalization_b2(params)
-    c2 = math.cos(2.0 * params.xi)
-    s2 = math.sin(2.0 * params.xi)
-    pref = b2 * np.exp(-s_arr * s_arr / (2.0 * a)) / (4.0 * math.sqrt(2.0 * a * PI))
-    t = (
-        2.0
-        + np.cos(2.0 * s_arr * rh) * (1.0 + sign * s2)
-        + math.exp(-8.0 * a * g) * np.cos(2.0 * s_arr * (hh1 - hh2) / rh) * (1.0 - sign * s2)
-        + 2.0
-        * math.exp(-2.0 * a * g)
-        * (np.cos(2.0 * s_arr * hh1 / rh) + np.cos(2.0 * s_arr * hh2 / rh))
-        * c2
-    )
-    return pref * t
+    return marginal_at(params, sign * splus_angle(params), s)

@@ -189,6 +189,16 @@ def axis_factors(a: float, h: float, axis: Axis, x) -> tuple[np.ndarray, np.ndar
     return env * np.cos(h * x), env * np.sin(h * x)
 
 
+def _line_frequencies(params: SetupParams, phi: float) -> tuple[float, float, float, float]:
+    """(A1, B1, A2, B2) with h1 k1 + h2 k2 = A1 s + B1 t and h1 k1 - h2 k2 = A2 s + B2 t.
+
+    On the rotated line k1 = s cos(phi) - t sin(phi), k2 = s sin(phi) + t cos(phi).
+    """
+    h1, h2 = params.h1, params.h2
+    c, sn = math.cos(phi), math.sin(phi)
+    return h1 * c + h2 * sn, h2 * c - h1 * sn, h1 * c - h2 * sn, -h1 * sn - h2 * c
+
+
 def line_factors(
     params: SetupParams, basis: BasisPair, phi: float, s, t
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -208,25 +218,21 @@ def line_factors(
         raise UnsupportedBasisError("rotated factor tables are defined for pure bases only")
     s = np.asarray(s, dtype=float).ravel()
     t = np.asarray(t, dtype=float).ravel()
-    a, h1, h2 = params.a, params.h1, params.h2
+    a = params.a
     b = math.sqrt(normalization_b2(params))
     cp = math.cos(PI / 4.0 - params.xi)
     sp = math.sin(PI / 4.0 - params.xi)
-    c, sn = math.cos(phi), math.sin(phi)
+    a1, b1, a2, b2 = _line_frequencies(params, phi)
     if basis.first is Axis.POSITION:
         pref = math.sqrt(a / (2.0 * PI)) * b
-        # slit centres (+-h1, +-h2) rotated into the (s, t) frame
-        centres = ((h1, h2, cp), (-h1, -h2, cp), (h1, -h2, sp), (-h1, h2, sp))
-        s0 = np.array([x * c + y * sn for x, y, _ in centres])
-        t0 = np.array([y * c - x * sn for x, y, _ in centres])
-        weights = pref * np.array([w for _, _, w in centres])
+        # the slit centres (h1, h2), (-h1, -h2), (h1, -h2), (-h1, h2) in the (s, t) frame
+        s0 = np.array([a1, -a1, a2, -a2])
+        t0 = np.array([b1, -b1, b2, -b2])
+        weights = pref * np.array([cp, cp, sp, sp])
         s_tab = weights * np.exp(-a * (s[:, None] - s0) ** 2)
         t_tab = np.exp(-a * (t[None, :] - t0[:, None]) ** 2)
         return s_tab, t_tab
     pref = b / math.sqrt(2.0 * a * PI)
-    # h1 k1 + h2 k2 = A1 s + B1 t and h1 k1 - h2 k2 = A2 s + B2 t
-    a1, b1 = h1 * c + h2 * sn, h2 * c - h1 * sn
-    a2, b2 = h1 * c - h2 * sn, -h1 * sn - h2 * c
     s_env = pref * np.exp(-s * s / (4.0 * a))
     t_env = np.exp(-t * t / (4.0 * a))
     s_tab = np.stack(

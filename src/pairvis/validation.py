@@ -113,20 +113,16 @@ def _decomposition_dev(
 
 
 def _radon_dev(params_list: Iterable[SetupParams], tol_quad: float, n_s: int = 51) -> float:
+    """Closed-form marginal vs line quadrature at the named angles and two seeded generic ones."""
+    rng = np.random.default_rng(20261019)
     worst = 0.0
     for params in params_list:
         s = np.linspace(-6.0 * math.sqrt(params.a), 6.0 * math.sqrt(params.a), n_s)
-        pairs = [
-            (radon.RadonAngle.k1(), radon.marginal_k1(params, s)),
-            (radon.RadonAngle.k2(), radon.marginal_k2(params, s)),
-            (radon.RadonAngle.kplus(), radon.marginal_kpm(params, 1, s)),
-            (radon.RadonAngle.kminus(), radon.marginal_kpm(params, -1, s)),
-            (radon.RadonAngle.splus(params), radon.marginal_spm(params, 1, s)),
-            (radon.RadonAngle.sminus(params), radon.marginal_spm(params, -1, s)),
-        ]
-        for angle, closed in pairs:
+        angles = [radon.RadonAngle.named(label, params) for label in radon.OBSERVABLES]
+        angles += [radon.RadonAngle(phi) for phi in rng.uniform(-PI / 2.0, PI / 2.0, 2)]
+        for angle in angles:
             numeric = radon.radon_numeric(params, angle, s, tol=tol_quad)
-            worst = max(worst, float(np.max(np.abs(numeric.values - closed))))
+            worst = max(worst, float(np.max(np.abs(numeric.values - radon.marginal_at(params, angle, s)))))
     return worst
 
 
@@ -184,7 +180,7 @@ def _no_communication_dev(params_list: Iterable[SetupParams]) -> float:
 def _pin_dev(params_list: Iterable[SetupParams]) -> float:
     worst = 0.0
     for params in params_list:
-        for obs in ("k1", "k2", "k+", "k-", "s+", "s-"):
+        for obs in radon.OBSERVABLES:
             result = visibility.envelope_pin_check(params, obs)
             if result.simultaneous and result.max_deviation is not None:
                 worst = max(worst, result.max_deviation)

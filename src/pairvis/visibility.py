@@ -26,7 +26,7 @@ import mpmath
 import numpy as np
 
 from . import _mpcore
-from .radon import marginal_k1, marginal_k2, marginal_kpm, marginal_spm
+from .radon import OBSERVABLES, RadonAngle, _marginal_brace, marginal_at
 from .state import SetupParams, _slits_equal, normalization_b2
 
 PI = math.pi
@@ -45,8 +45,6 @@ __all__ = [
     "visibility_of",
     "visibility_report",
 ]
-
-_OBSERVABLES = ("k1", "k2", "k+", "k-", "s+", "s-")
 
 
 def _envelope_constants_mp(params: SetupParams, observable: str):
@@ -84,7 +82,7 @@ def _envelope_constants_mp(params: SetupParams, observable: str):
         upper = 2 + (1 + sign * s2) + e8g * (1 - sign * s2) + 4 * e2g * c2
         scale = mpmath.mpf(1) / 4
         return lower, upper, scale
-    raise ValueError(f"unknown observable {observable!r}; expected one of {_OBSERVABLES}")
+    raise ValueError(f"unknown observable {observable!r}; expected one of {OBSERVABLES}")
 
 
 _SUBSTITUTIONS = {
@@ -213,65 +211,34 @@ def envelope_pin_check(params: SetupParams, observable: str) -> PinCheckResult:
     h1, h2 = params.h1, params.h2
     if observable in ("k1", "k2"):
         h = h1 if observable == "k1" else h2
-        marg = marginal_k1 if observable == "k1" else marginal_k2
-        pin_lo = PI / (2.0 * h)
-        pin_hi = PI / h
-        dev = max(
-            abs(float(marg(params, pin_lo)) - float(env.env_minus(pin_lo))),
-            abs(float(marg(params, pin_hi)) - float(env.env_plus(pin_hi))),
-        )
-        return PinCheckResult(observable, True, (pin_lo, pin_hi), dev)
-    if not _slits_equal(params):
+        pins = (PI / (2.0 * h), PI / h)
+    elif not _slits_equal(params):
         return PinCheckResult(observable, False, (), None)
-    h = h1
-    if observable in ("k+", "k-"):
-        sign = 1 if observable == "k+" else -1
-        pin_lo = PI / (2.0 * math.sqrt(2.0) * h)
-        pin_hi = math.sqrt(2.0) * PI / h
-        marg_lo = float(marginal_kpm(params, sign, pin_lo))
-        marg_hi = float(marginal_kpm(params, sign, pin_hi))
+    elif observable in ("k+", "k-"):
+        pins = (PI / (2.0 * math.sqrt(2.0) * h1), math.sqrt(2.0) * PI / h1)
     else:
-        sign = 1 if observable == "s+" else -1
         rh = math.sqrt(h1 * h1 + h2 * h2)
-        pin_lo = PI * rh / (4.0 * h * h)
-        pin_hi = PI * rh / (h * h)
-        marg_lo = float(marginal_spm(params, sign, pin_lo))
-        marg_hi = float(marginal_spm(params, sign, pin_hi))
-    dev = max(
-        abs(marg_lo - float(env.env_minus(pin_lo))),
-        abs(marg_hi - float(env.env_plus(pin_hi))),
-    )
-    return PinCheckResult(observable, True, (pin_lo, pin_hi), dev)
+        pins = (PI * rh / (4.0 * h1 * h1), PI * rh / (h1 * h1))
+    marg_lo, marg_hi = marginal_at(params, RadonAngle.named(observable, params), np.array(pins))
+    dev = max(abs(marg_lo - float(env.env_minus(pins[0]))), abs(marg_hi - float(env.env_plus(pins[1]))))
+    return PinCheckResult(observable, True, pins, float(dev))
 
 
 def numeric_visibility(params: SetupParams, observable: str, n: int = 16001) -> float:
     """Independent visibility estimate by extremum extraction.
 
-    Deflates the closed-form marginal by e^{+s^2/2a}, samples a few fringe
-    periods, and forms the contrast of the extreme values.  Agrees with the
-    envelope-based visibility to ~1e-3 once a >= 20 (the envelope picture
-    assumes the Gaussian prefactor varies slowly over a fringe).
+    Samples the brace of the closed-form marginal (the marginal without its
+    Gaussian prefactor) over three fringe periods and forms the contrast of
+    its extreme values.  Agrees with the envelope-based visibility to ~1e-3
+    once a >= 20 (the envelope picture assumes the Gaussian prefactor varies
+    slowly over a fringe).
     """
-    h1, h2 = params.h1, params.h2
-    if observable == "k1":
-        freq, f = 2.0 * h1, lambda s: marginal_k1(params, s)
-    elif observable == "k2":
-        freq, f = 2.0 * h2, lambda s: marginal_k2(params, s)
-    elif observable in ("k+", "k-"):
-        sign = 1 if observable == "k+" else -1
-        freq = math.sqrt(2.0) * (h1 + h2)
-        f = lambda s: marginal_kpm(params, sign, s)
-    elif observable in ("s+", "s-"):
-        sign = 1 if observable == "s+" else -1
-        freq = 2.0 * math.sqrt(h1 * h1 + h2 * h2)
-        f = lambda s: marginal_spm(params, sign, s)
-    else:
-        raise ValueError(f"unknown observable {observable!r}")
-    window = 3.0 * (2.0 * PI / freq)
-    s = np.linspace(0.0, window, n)
-    deflated = f(s) * np.exp(s * s / (2.0 * params.a))
-    hi = float(np.max(deflated))
-    lo = float(np.min(deflated))
+    phi = RadonAngle.named(observable, params).phi
+    # the fastest fringe: 2 (h1 |cos phi| + h2 |sin phi|) is the largest brace frequency
+    freq = 2.0 * (params.h1 * abs(math.cos(phi)) + params.h2 * abs(math.sin(phi)))
+    brace = _marginal_brace(params, phi, np.linspace(0.0, 3.0 * (2.0 * PI / freq), n))
+    hi = float(np.max(brace))
+    lo = float(np.min(brace))
     if hi + lo == 0.0:
         return 0.0
     return (hi - lo) / (hi + lo)

@@ -20,7 +20,7 @@ from pairvis import (
     visibility_of,
     visibility_report,
 )
-from pairvis.radon import marginal_k1, marginal_spm
+from pairvis.radon import OBSERVABLES, marginal_k1, marginal_spm
 
 PI = math.pi
 
@@ -66,16 +66,27 @@ class TestEnvelopes:
         p = SetupParams(8.0, 1.0, 1.0, 0.4)
         with pytest.raises(ValueError):
             envelopes_for(p, "q7")
+        with pytest.raises(ValueError):
+            numeric_visibility(p, "q7")
 
 
 class TestScalarMeasures:
     def test_closed_forms_match_numeric_extraction(self):
-        # independent route: sample the marginal over a few fringe periods and
-        # take the global max/min contrast of the deflated oscillation
+        # independent route: sample the marginal's brace (no Gaussian
+        # prefactor) over a few fringe periods and take its max/min contrast
         p = SetupParams(30.0, 1.0, 2.0, 0.3)
         for observable in ("k1", "k2", "s+", "s-"):
             env = envelopes_for(p, observable)
             assert visibility_of(env) == pytest.approx(numeric_visibility(p, observable), abs=1e-10)
+
+    @pytest.mark.parametrize("a", [1e-3, 0.01, 0.05])
+    def test_numeric_extraction_is_finite_for_wide_slits(self, a):
+        # the fringe window spans many Gaussian widths here, so the marginal
+        # itself underflows; the contrast must not
+        p = SetupParams(a, 1.0, 2.0, 0.3)
+        for observable in OBSERVABLES:
+            v = numeric_visibility(p, observable)
+            assert math.isfinite(v) and 0.0 <= v <= 1.0, observable
 
     def test_regression_values(self):
         # frozen from this implementation after cross-validation against the
