@@ -22,7 +22,7 @@ from the pinned constants; the first pin point is still reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import mpmath
@@ -66,6 +66,20 @@ def corrected_density(params: SetupParams, k1, k2, convention: str = "b4_xi") ->
     return base - sub + add
 
 
+def _slice_bracket(consts, sign: int, cc, ss, c2a, c2b):
+    """t1 + t2 + t3 of the corrected diagonal slice, in float arrays or in mpmath.
+
+    The phases enter through cc = cos(alpha) cos(beta), ss = sin(alpha) sin(beta),
+    c2a = cos(2 alpha) and c2b = cos(2 beta); ``consts`` is
+    (B^2, B^4, B^4 of the added term, cos xi, sin xi, cos 2xi, e^{-2a h1^2}, e^{-2a h2^2}).
+    """
+    b2, b4, b4_add, cx, sx, c2, e1, e2 = consts
+    t1 = b2 * (cc * cx - sign * ss * sx) ** 2
+    t2 = -(b4 / 8) * (1 + e2 * c2 + (c2 + e2) * c2a) * (1 + e1 * c2 + (c2 + e1) * c2b)
+    t3 = (b4_add / 8) * (1 + e2 * c2a) * (1 + e1 * c2b)
+    return t1 + t2 + t3
+
+
 def corrected_slice_spm(params: SetupParams, sign: int, s, convention: str = "b4_xi") -> np.ndarray:
     """Corrected density along the s+/s- diagonal at zero transverse offset.
 
@@ -85,53 +99,26 @@ def corrected_slice_spm(params: SetupParams, sign: int, s, convention: str = "b4
     b2 = normalization_b2(params)
     b4 = b2 * b2
     b4_add = b4 if convention == "b4_xi" else normalization_b2(params.with_xi(PI / 4.0)) ** 2
-    c2 = math.cos(2.0 * params.xi)
-    cx = math.cos(params.xi)
-    sx = math.sin(params.xi)
-    e1 = math.exp(-2.0 * a * hh1)
-    e2 = math.exp(-2.0 * a * hh2)
-    t1 = b2 * (np.cos(alpha) * np.cos(beta) * cx - sign * np.sin(alpha) * np.sin(beta) * sx) ** 2
-    t2 = -(b4 / 8.0) * (1.0 + e2 * c2 + (c2 + e2) * np.cos(2.0 * alpha)) * (
-        1.0 + e1 * c2 + (c2 + e1) * np.cos(2.0 * beta)
-    )
-    t3 = (b4_add / 8.0) * (1.0 + e2 * np.cos(2.0 * alpha)) * (1.0 + e1 * np.cos(2.0 * beta))
-    return (1.0 / (a * PI)) * np.exp(-s_arr * s_arr / (2.0 * a)) * (t1 + t2 + t3)
+    consts = (b2, b4, b4_add, math.cos(params.xi), math.sin(params.xi), math.cos(2.0 * params.xi),
+              math.exp(-2.0 * a * hh1), math.exp(-2.0 * a * hh2))
+    bracket = _slice_bracket(consts, sign, np.cos(alpha) * np.cos(beta), np.sin(alpha) * np.sin(beta),
+                             np.cos(2.0 * alpha), np.cos(2.0 * beta))
+    return (1.0 / (a * PI)) * np.exp(-s_arr * s_arr / (2.0 * a)) * bracket
 
 
-def _pinned_constant_mp(params: SetupParams, sign: int, which: str, convention: str):
-    """Brace constant of the corrected slice after phase pinning.
+# (cc, ss, c2a, c2b) at the slice pins (alpha, beta) = (π/4, π/4), (π/4, -π/4), (π/2, π/2)
+_SLICE_PINS = ((0.5, 0.5, 0, 0), (0.5, -0.5, 0, 0), (0, 1, -1, -1))
 
-    Substitutions (applied to every alpha/beta occurrence):
-      env-: alpha -> pi/4, beta -> pi/4
-      env+: alpha -> pi/4, beta -> -pi/4
-      env0: alpha -> pi/2, beta -> pi/2
-    """
+
+def _pinned_constants_mp(params: SetupParams, sign: int, convention: str) -> tuple:
+    """Brace constants (env-, env+, env0) of the corrected slice after phase pinning."""
     xi = mpmath.mpf(params.xi)
-    cx, sx = mpmath.cos(xi), mpmath.sin(xi)
-    c2, _ = _mpcore.trig2(params.xi)
     e1, e2 = _mpcore.slit_exponentials(params.a, params.h1, params.h2)
     b2 = _mpcore.b2(params.a, params.h1, params.h2, params.xi)
     b4 = b2 * b2
-    if convention == "b4_xi":
-        b4_add = b4
-    else:
-        b4_add = _mpcore.b2(params.a, params.h1, params.h2, PI / 4.0) ** 2
-    if which == "minus":
-        bracket = (cx - sign * sx) / 2
-        c2a = c2b = mpmath.mpf(0)
-    elif which == "plus":
-        bracket = (cx + sign * sx) / 2
-        c2a = c2b = mpmath.mpf(0)
-    elif which == "zero":
-        bracket = -sign * sx
-        c2a = c2b = mpmath.mpf(-1)
-    else:
-        raise ValueError(which)
-    return (
-        b2 * bracket * bracket
-        - (b4 / 8) * (1 + e2 * c2 + (c2 + e2) * c2a) * (1 + e1 * c2 + (c2 + e1) * c2b)
-        + (b4_add / 8) * (1 + e2 * c2a) * (1 + e1 * c2b)
-    )
+    b4_add = b4 if convention == "b4_xi" else _mpcore.b2(params.a, params.h1, params.h2, PI / 4.0) ** 2
+    consts = (b2, b4, b4_add, mpmath.cos(xi), mpmath.sin(xi), _mpcore.trig2(params.xi)[0], e1, e2)
+    return tuple(_slice_bracket(consts, sign, *pin) for pin in _SLICE_PINS)
 
 
 @dataclass
@@ -144,9 +131,6 @@ class CorrectedSliceEnvelopes:
     env_plus: Callable[[np.ndarray], np.ndarray]
     env_zero: Callable[[np.ndarray], np.ndarray]
     active_pair: str  # "plus_minus" or "zero_minus"
-    _k_minus: object = field(repr=False, default=None)
-    _k_plus: object = field(repr=False, default=None)
-    _k_zero: object = field(repr=False, default=None)
 
 
 def corrected_envelopes(
@@ -156,10 +140,7 @@ def corrected_envelopes(
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     with _mpcore.workdps():
-        k_minus = _pinned_constant_mp(params, sign, "minus", convention)
-        k_plus = _pinned_constant_mp(params, sign, "plus", convention)
-        k_zero = _pinned_constant_mp(params, sign, "zero", convention)
-        km_f, kp_f, k0_f = float(k_minus), float(k_plus), float(k_zero)
+        km_f, kp_f, k0_f = map(float, _pinned_constants_mp(params, sign, convention))
     a = params.a
 
     def _pref(s: np.ndarray) -> np.ndarray:
@@ -173,9 +154,6 @@ def corrected_envelopes(
         env_plus=lambda s: _pref(s) * kp_f,
         env_zero=lambda s: _pref(s) * k0_f,
         active_pair="zero_minus" if _slits_equal(params) else "plus_minus",
-        _k_minus=k_minus,
-        _k_plus=k_plus,
-        _k_zero=k_zero,
     )
 
 
@@ -207,8 +185,8 @@ class CorrectedReport:
 
 
 def _corrected_vis_mp(params: SetupParams, sign: int, convention: str, equal: bool):
-    k_minus = _pinned_constant_mp(params, sign, "minus", convention)
-    k_other = _pinned_constant_mp(params, sign, "zero" if equal else "plus", convention)
+    k_minus, k_plus, k_zero = _pinned_constants_mp(params, sign, convention)
+    k_other = k_zero if equal else k_plus
     denom = k_other + k_minus
     if denom == 0:
         return mpmath.mpf(0)

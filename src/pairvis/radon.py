@@ -187,7 +187,7 @@ def slice_numeric(
 def _marginal_brace(params: SetupParams, phi: float, s: np.ndarray) -> np.ndarray:
     """The brace of :func:`marginal_at`: the marginal without its Gaussian prefactor."""
     a = params.a
-    a1, b1, a2, b2 = _line_frequencies(params, phi)
+    a1, b1, a2, b2 = _line_frequencies(params, math.cos(phi), math.sin(phi))
     cp = math.cos(PI / 4.0 - params.xi)
     sp = math.sin(PI / 4.0 - params.xi)
     # one term per cosine of |psi|^2: ∫ e^{-t^2/2a} cos(αs + βt) dt = sqrt(2πa) e^{-aβ^2/2} cos(αs)

@@ -189,13 +189,13 @@ def axis_factors(a: float, h: float, axis: Axis, x) -> tuple[np.ndarray, np.ndar
     return env * np.cos(h * x), env * np.sin(h * x)
 
 
-def _line_frequencies(params: SetupParams, phi: float) -> tuple[float, float, float, float]:
+def _line_frequencies(params: SetupParams, c, sn) -> tuple:
     """(A1, B1, A2, B2) with h1 k1 + h2 k2 = A1 s + B1 t and h1 k1 - h2 k2 = A2 s + B2 t.
 
-    On the rotated line k1 = s cos(phi) - t sin(phi), k2 = s sin(phi) + t cos(phi).
+    On the rotated line k1 = s c - t sn, k2 = s sn + t c with (c, sn) = (cos phi, sin phi),
+    given as floats or as mpmath numbers.
     """
     h1, h2 = params.h1, params.h2
-    c, sn = math.cos(phi), math.sin(phi)
     return h1 * c + h2 * sn, h2 * c - h1 * sn, h1 * c - h2 * sn, -h1 * sn - h2 * c
 
 
@@ -222,7 +222,7 @@ def line_factors(
     b = math.sqrt(normalization_b2(params))
     cp = math.cos(PI / 4.0 - params.xi)
     sp = math.sin(PI / 4.0 - params.xi)
-    a1, b1, a2, b2 = _line_frequencies(params, phi)
+    a1, b1, a2, b2 = _line_frequencies(params, math.cos(phi), math.sin(phi))
     if basis.first is Axis.POSITION:
         pref = math.sqrt(a / (2.0 * PI)) * b
         # the slit centres (h1, h2), (-h1, -h2), (h1, -h2), (-h1, h2) in the (s, t) frame

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _mpcore
 from .radon import OBSERVABLES, RadonAngle, _marginal_brace, marginal_at
-from .state import SetupParams, _slits_equal, normalization_b2
+from .state import SetupParams, _line_frequencies, _slits_equal, normalization_b2
 
 PI = math.pi
 
@@ -47,71 +47,70 @@ __all__ = [
 ]
 
 
-def _envelope_constants_mp(params: SetupParams, observable: str):
-    """(lower, upper, prefactor-scale) brace constants at working precision.
+# Pinned phases (θ1, θ2) of the brace, in units of π/4, as (env-, env+) per observable.
+_PINS = {
+    "k1": ((2, 0), (4, 0)),
+    "k2": ((0, 2), (0, 4)),
+    "k+": ((1, 1), (4, 4)),
+    "k-": ((1, -1), (4, -4)),
+    "s+": ((1, 1), (4, 4)),
+    "s-": ((1, -1), (4, -4)),
+}
+_COS_HALF_PI = (1, 0, -1, 0)  # cos(n π/2) for n mod 4
 
-    The marginal is prefactor(s) * brace(s); pinning the oscillatory phases
-    replaces brace(s) by these constants.
+
+def _envelope_table_mp(params: SetupParams) -> dict:
+    """(lower, upper) brace of every observable's marginal at its pinned phases, at working precision.
+
+    With θ1 = h1 s cos(phi) and θ2 = h2 s sin(phi) the brace of :func:`radon.marginal_at` reads
+
+        1/2 + (1 + sin 2xi)/4 E1 cos 2(θ1 + θ2) + (1 - sin 2xi)/4 E2 cos 2(θ1 - θ2)
+            + cos 2xi/2 (E3 cos 2θ1 + E4 cos 2θ2),
+
+    E1 = e^{-2a B1^2}, E2 = e^{-2a B2^2}, E3 = e^{-a(B1+B2)^2/2}, E4 = e^{-a(B1-B2)^2/2}.
+    The envelopes are the marginal's prefactor times this brace at the pins of ``_PINS``.
     """
     a = mpmath.mpf(params.a)
-    h1 = mpmath.mpf(params.h1)
-    h2 = mpmath.mpf(params.h2)
     c2, s2 = _mpcore.trig2(params.xi)
-    if observable in ("k1", "k2"):
-        ho = h2 if observable == "k1" else h1
-        e_other = mpmath.exp(-2 * a * ho * ho)
-        lower = (1 - c2) * (1 - e_other)
-        upper = (1 + c2) * (1 + e_other)
-        scale = mpmath.mpf(1) / 2
-        return lower, upper, scale
-    if observable in ("k+", "k-"):
-        sign = 1 if observable == "k+" else -1
-        ep = mpmath.exp(-a * (h1 + h2) ** 2)
-        em = mpmath.exp(-a * (h1 - h2) ** 2)
-        cross = 2 * (mpmath.exp(-a * h1 * h1) + mpmath.exp(-a * h2 * h2)) * c2
-        lower = 2 + ep * (1 - sign * s2) - em * (1 + sign * s2)
-        upper = 2 + cross + ep * (1 - sign * s2) + em * (1 + sign * s2)
-        scale = mpmath.mpf(1) / 4
-        return lower, upper, scale
-    if observable in ("s+", "s-"):
-        sign = 1 if observable == "s+" else -1
-        g = (h1 * h2) ** 2 / (h1 * h1 + h2 * h2)
-        e2g = mpmath.exp(-2 * a * g)
-        e8g = mpmath.exp(-8 * a * g)
-        lower = 2 - (1 + sign * s2) + e8g * (1 - sign * s2)
-        upper = 2 + (1 + sign * s2) + e8g * (1 - sign * s2) + 4 * e2g * c2
-        scale = mpmath.mpf(1) / 4
-        return lower, upper, scale
-    raise ValueError(f"unknown observable {observable!r}; expected one of {OBSERVABLES}")
-
-
-_SUBSTITUTIONS = {
-    "k1": {"env-": "h1*k1 -> pi/2", "env+": "h1*k1 -> pi"},
-    "k2": {"env-": "h2*k2 -> pi/2", "env+": "h2*k2 -> pi"},
-    "k+": {"env-": "sqrt2*h1*k -> pi/2, sqrt2*h2*k -> pi/2", "env+": "sqrt2*h1*k -> 2pi, sqrt2*h2*k -> 2pi"},
-    "k-": {"env-": "sqrt2*h1*k -> pi/2, sqrt2*h2*k -> pi/2", "env+": "sqrt2*h1*k -> 2pi, sqrt2*h2*k -> 2pi"},
-    "s+": {"env-": "s*h1^2/rH -> pi/4, s*h2^2/rH -> pi/4", "env+": "s*h1^2/rH -> pi, s*h2^2/rH -> pi"},
-    "s-": {"env-": "s*h1^2/rH -> pi/4, s*h2^2/rH -> pi/4", "env+": "s*h1^2/rH -> pi, s*h2^2/rH -> pi"},
-}
+    w1, w2, w3 = (1 + s2) / 4, (1 - s2) / 4, c2 / 2
+    half = mpmath.mpf(1) / 2
+    r = mpmath.sqrt(half)
+    rh = mpmath.hypot(params.h1, params.h2)
+    one, zero = mpmath.mpf(1), mpmath.mpf(0)
+    directions = {"k1": (one, zero), "k2": (zero, one), "k+": (r, r), "k-": (r, -r),
+                  "s+": (params.h1 / rh, params.h2 / rh), "s-": (params.h1 / rh, -params.h2 / rh)}
+    table = {}
+    for observable, (c, sn) in directions.items():
+        _, b1, _, b2 = _line_frequencies(params, c, sn)
+        e1 = w1 * mpmath.exp(-2 * a * b1 * b1)
+        e2 = w2 * mpmath.exp(-2 * a * b2 * b2)
+        e3 = w3 * mpmath.exp(-a * (b1 + b2) ** 2 / 2)
+        e4 = w3 * mpmath.exp(-a * (b1 - b2) ** 2 / 2)
+        table[observable] = tuple(
+            mpmath.fsum((half, e1 * _COS_HALF_PI[(p1 + p2) % 4], e2 * _COS_HALF_PI[(p1 - p2) % 4],
+                         e3 * _COS_HALF_PI[p1 % 4], e4 * _COS_HALF_PI[p2 % 4]))
+            for p1, p2 in _PINS[observable]
+        )
+    return table
 
 
 @dataclass
 class EnvelopeSet:
-    """Upper/lower fringe envelopes of one marginal, as callables plus constants."""
+    """Upper/lower fringe envelopes of one marginal, as callables plus brace constants."""
 
     observable: str
     env_minus: Callable[[np.ndarray], np.ndarray]
     env_plus: Callable[[np.ndarray], np.ndarray]
-    substitutions: dict
     _lower: object = field(repr=False, default=None)
     _upper: object = field(repr=False, default=None)
 
 
 def envelopes_for(params: SetupParams, observable: str) -> EnvelopeSet:
+    if observable not in _PINS:
+        raise ValueError(f"unknown observable {observable!r}; expected one of {OBSERVABLES}")
     with _mpcore.workdps():
-        lower, upper, scale = _envelope_constants_mp(params, observable)
-        lo_f = float(lower * scale)
-        up_f = float(upper * scale)
+        lower, upper = _envelope_table_mp(params)[observable]
+        lo_f, up_f = float(lower), float(upper)
     a = params.a
     b2 = normalization_b2(params)
     norm = b2 / math.sqrt(2.0 * a * PI)
@@ -123,25 +122,29 @@ def envelopes_for(params: SetupParams, observable: str) -> EnvelopeSet:
         observable=observable,
         env_minus=lambda s: _pref(s) * lo_f,
         env_plus=lambda s: _pref(s) * up_f,
-        substitutions=dict(_SUBSTITUTIONS[observable]),
         _lower=lower,
         _upper=upper,
     )
 
 
-def visibility_of(env: EnvelopeSet) -> float:
-    """Michelson contrast |env+ - env-| / (env+ + env-), from the brace constants."""
-    with _mpcore.workdps():
-        return float(abs(env._upper - env._lower) / (env._upper + env._lower))
-
-
-def _visibility_mp(params: SetupParams, observable: str):
-    lower, upper, _ = _envelope_constants_mp(params, observable)
+def _contrast(lower, upper):
     return abs(upper - lower) / (upper + lower)
 
 
+def visibility_of(env: EnvelopeSet) -> float:
+    """Michelson contrast |env+ - env-| / (env+ + env-), from the brace constants."""
+    with _mpcore.workdps():
+        return float(_contrast(env._lower, env._upper))
+
+
+def _measures_mp(params: SetupParams):
+    """(contrast per observable, V, W, D) from one envelope table."""
+    vis = {obs: _contrast(lower, upper) for obs, (lower, upper) in _envelope_table_mp(params).items()}
+    return vis, max(vis["k1"], vis["k2"]), abs(vis["k+"] - vis["k-"]), abs(vis["s+"] - vis["s-"])
+
+
 def single_particle_v_mp(params: SetupParams):
-    return max(_visibility_mp(params, "k1"), _visibility_mp(params, "k2"))
+    return _measures_mp(params)[1]
 
 
 def single_particle_v(params: SetupParams) -> float:
@@ -151,7 +154,7 @@ def single_particle_v(params: SetupParams) -> float:
 
 
 def two_particle_w_mp(params: SetupParams):
-    return abs(_visibility_mp(params, "k+") - _visibility_mp(params, "k-"))
+    return _measures_mp(params)[2]
 
 
 def two_particle_w(params: SetupParams) -> float:
@@ -161,7 +164,7 @@ def two_particle_w(params: SetupParams) -> float:
 
 
 def two_particle_d_mp(params: SetupParams):
-    return abs(_visibility_mp(params, "s+") - _visibility_mp(params, "s-"))
+    return _measures_mp(params)[3]
 
 
 def two_particle_d(params: SetupParams) -> float:
@@ -171,8 +174,7 @@ def two_particle_d(params: SetupParams) -> float:
 
 
 def epsilon_mp(params: SetupParams):
-    v = single_particle_v_mp(params)
-    d = two_particle_d_mp(params)
+    _, v, _, d = _measures_mp(params)
     return 1 - v * v - d * d
 
 
@@ -208,18 +210,13 @@ def envelope_pin_check(params: SetupParams, observable: str) -> PinCheckResult:
     and the result reports ``simultaneous=False`` with no deviation claim.
     """
     env = envelopes_for(params, observable)
-    h1, h2 = params.h1, params.h2
-    if observable in ("k1", "k2"):
-        h = h1 if observable == "k1" else h2
-        pins = (PI / (2.0 * h), PI / h)
-    elif not _slits_equal(params):
+    if observable not in ("k1", "k2") and not _slits_equal(params):
         return PinCheckResult(observable, False, (), None)
-    elif observable in ("k+", "k-"):
-        pins = (PI / (2.0 * math.sqrt(2.0) * h1), math.sqrt(2.0) * PI / h1)
-    else:
-        rh = math.sqrt(h1 * h1 + h2 * h2)
-        pins = (PI * rh / (4.0 * h1 * h1), PI * rh / (h1 * h1))
-    marg_lo, marg_hi = marginal_at(params, RadonAngle.named(observable, params), np.array(pins))
+    angle = RadonAngle.named(observable, params)
+    # s = θ1 / (h1 cos phi); on the k2 axis cos phi vanishes and s = θ2 / (h2 sin phi)
+    i, h_trig = (1, params.h2 * math.sin(angle.phi)) if observable == "k2" else (0, params.h1 * math.cos(angle.phi))
+    pins = tuple(pin[i] * PI / 4.0 / h_trig for pin in _PINS[observable])
+    marg_lo, marg_hi = marginal_at(params, angle, np.array(pins))
     dev = max(abs(marg_lo - float(env.env_minus(pins[0]))), abs(marg_hi - float(env.env_plus(pins[1]))))
     return PinCheckResult(observable, True, pins, float(dev))
 
@@ -286,25 +283,17 @@ class VisibilityReport:
 
 def visibility_report(params: SetupParams) -> VisibilityReport:
     with _mpcore.workdps(params):
-        vk1 = _visibility_mp(params, "k1")
-        vk2 = _visibility_mp(params, "k2")
-        vkp = _visibility_mp(params, "k+")
-        vkm = _visibility_mp(params, "k-")
-        vsp = _visibility_mp(params, "s+")
-        vsm = _visibility_mp(params, "s-")
-        v = max(vk1, vk2)
-        w = abs(vkp - vkm)
-        d = abs(vsp - vsm)
+        vis, v, w, d = _measures_mp(params)
         eps = 1 - v * v - d * d
         bound = bound_mp(params)
         return VisibilityReport(
             params=params,
-            v_k1=float(vk1),
-            v_k2=float(vk2),
-            v_kplus=float(vkp),
-            v_kminus=float(vkm),
-            v_splus=float(vsp),
-            v_sminus=float(vsm),
+            v_k1=float(vis["k1"]),
+            v_k2=float(vis["k2"]),
+            v_kplus=float(vis["k+"]),
+            v_kminus=float(vis["k-"]),
+            v_splus=float(vis["s+"]),
+            v_sminus=float(vis["s-"]),
             V=float(v),
             W=float(w),
             D=float(d),

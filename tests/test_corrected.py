@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,8 @@ from pairvis import (
     density_at,
     single_particle_v,
 )
-from pairvis.corrected import slice_envelope_crossover
+from pairvis import _mpcore
+from pairvis.corrected import _pinned_constants_mp, slice_envelope_crossover
 from pairvis.radon import marginal_k1, marginal_k2, splus_angle
 from pairvis.state import KK
 
@@ -29,6 +31,40 @@ params_st = st.builds(
     h2=st.floats(0.3, 3.0),
     xi=st.floats(0.0, PI),
 )
+
+
+def _pinned_constant_mp(params, sign, which, convention):
+    """Hand-derived brace constant of the corrected slice after phase pinning.
+
+    Substitutions (applied to every alpha/beta occurrence):
+      env-: alpha -> pi/4, beta -> pi/4
+      env+: alpha -> pi/4, beta -> -pi/4
+      env0: alpha -> pi/2, beta -> pi/2
+    """
+    xi = mpmath.mpf(params.xi)
+    cx, sx = mpmath.cos(xi), mpmath.sin(xi)
+    c2, _ = _mpcore.trig2(params.xi)
+    e1, e2 = _mpcore.slit_exponentials(params.a, params.h1, params.h2)
+    b2 = _mpcore.b2(params.a, params.h1, params.h2, params.xi)
+    b4 = b2 * b2
+    if convention == "b4_xi":
+        b4_add = b4
+    else:
+        b4_add = _mpcore.b2(params.a, params.h1, params.h2, PI / 4.0) ** 2
+    if which == "minus":
+        bracket = (cx - sign * sx) / 2
+        c2a = c2b = mpmath.mpf(0)
+    elif which == "plus":
+        bracket = (cx + sign * sx) / 2
+        c2a = c2b = mpmath.mpf(0)
+    else:
+        bracket = -sign * sx
+        c2a = c2b = mpmath.mpf(-1)
+    return (
+        b2 * bracket * bracket
+        - (b4 / 8) * (1 + e2 * c2 + (c2 + e2) * c2a) * (1 + e1 * c2 + (c2 + e1) * c2b)
+        + (b4_add / 8) * (1 + e2 * c2a) * (1 + e1 * c2b)
+    )
 
 
 class TestCorrectedDensity:
@@ -86,6 +122,20 @@ class TestSliceClosedForm:
 
 
 class TestEnvelopes:
+    @pytest.mark.parametrize("convention", ["b4_xi", "b4_pi4"])
+    def test_pinned_slice_bracket_matches_hand_derived_constants(self, convention):
+        with _mpcore.workdps():
+            for a in (1e-8, 0.01, 2.0, 30.0, 200.0):
+                for h1, h2 in ((1.0, 1.0), (1.0, 2.0), (0.3, 1.7), (2.0, 2.0)):
+                    for xi in (0.0, 0.3, PI / 4.0, 1.2, 2.5):
+                        p = SetupParams(a, h1, h2, xi)
+                        scale = _mpcore.b2(a, h1, h2, xi) ** 2
+                        for sign in (1, -1):
+                            pinned = _pinned_constants_mp(p, sign, convention)
+                            for which, value in zip(("minus", "plus", "zero"), pinned):
+                                ref = _pinned_constant_mp(p, sign, which, convention)
+                                assert abs(value - ref) <= 1e-40 * scale, (p, sign, which)
+
     def test_active_pair_switches_on_slit_equality(self):
         assert corrected_envelopes(SetupParams(8.0, 1.0, 2.0, 0.4), 1).active_pair == "plus_minus"
         assert corrected_envelopes(SetupParams(8.0, 1.5, 1.5, 0.4), 1).active_pair == "zero_minus"

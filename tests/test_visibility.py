@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,9 @@ from pairvis import (
     visibility_of,
     visibility_report,
 )
+from pairvis import _mpcore
 from pairvis.radon import OBSERVABLES, marginal_k1, marginal_spm
+from pairvis.visibility import _envelope_table_mp, bound_mp, epsilon_mp
 
 PI = math.pi
 
@@ -31,6 +34,77 @@ params_st = st.builds(
     h2=st.floats(0.3, 3.0),
     xi=st.floats(0.0, PI),
 )
+
+
+def _envelope_constants_mp(params, observable):
+    """Hand-derived (lower, upper, prefactor-scale) brace constants of each family.
+
+    The reference for the pinned-phase table: lower * scale and upper * scale
+    are the brace at the env- and env+ pins.
+    """
+    a = mpmath.mpf(params.a)
+    h1 = mpmath.mpf(params.h1)
+    h2 = mpmath.mpf(params.h2)
+    c2, s2 = _mpcore.trig2(params.xi)
+    if observable in ("k1", "k2"):
+        ho = h2 if observable == "k1" else h1
+        e_other = mpmath.exp(-2 * a * ho * ho)
+        return (1 - c2) * (1 - e_other), (1 + c2) * (1 + e_other), mpmath.mpf(1) / 2
+    if observable in ("k+", "k-"):
+        sign = 1 if observable == "k+" else -1
+        ep = mpmath.exp(-a * (h1 + h2) ** 2)
+        em = mpmath.exp(-a * (h1 - h2) ** 2)
+        cross = 2 * (mpmath.exp(-a * h1 * h1) + mpmath.exp(-a * h2 * h2)) * c2
+        lower = 2 + ep * (1 - sign * s2) - em * (1 + sign * s2)
+        upper = 2 + cross + ep * (1 - sign * s2) + em * (1 + sign * s2)
+        return lower, upper, mpmath.mpf(1) / 4
+    sign = 1 if observable == "s+" else -1
+    g = (h1 * h2) ** 2 / (h1 * h1 + h2 * h2)
+    e2g = mpmath.exp(-2 * a * g)
+    e8g = mpmath.exp(-8 * a * g)
+    lower = 2 - (1 + sign * s2) + e8g * (1 - sign * s2)
+    upper = 2 + (1 + sign * s2) + e8g * (1 - sign * s2) + 4 * e2g * c2
+    return lower, upper, mpmath.mpf(1) / 4
+
+
+def _assert_table_matches_reference(p):
+    """Table and epsilon against the hand-derived families; returns whether |epsilon| < bound in mpmath."""
+    with _mpcore.workdps(p):
+        vis = {}
+        for observable, (lower, upper) in _envelope_table_mp(p).items():
+            ref_lower, ref_upper, scale = _envelope_constants_mp(p, observable)
+            assert abs(lower - ref_lower * scale) <= 1e-40 * upper, (p, observable)
+            assert abs(upper - ref_upper * scale) <= 1e-40 * upper, (p, observable)
+            vis[observable] = abs(ref_upper - ref_lower) / (ref_upper + ref_lower)
+        v = max(vis["k1"], vis["k2"])
+        d = abs(vis["s+"] - vis["s-"])
+        eps, ref = epsilon_mp(p), 1 - v * v - d * d
+        if ref == 0:
+            assert eps == 0, p
+        else:
+            assert abs(eps - ref) <= 1e-30 * abs(ref), p
+        return abs(eps) < bound_mp(p)
+
+
+class TestEnvelopeTable:
+    """The brace at pinned phases against the hand-derived envelope families."""
+
+    @pytest.mark.parametrize("a", [1e-8, 0.01, 2.0, 30.0, 200.0])
+    def test_matches_hand_derived_families(self, a):
+        for h1, h2 in ((1.0, 1.0), (1.0, 2.0), (0.3, 1.7), (2.0, 2.0)):
+            for xi in (0.0, 0.3, PI / 4.0, 1.2, 2.5):
+                _assert_table_matches_reference(SetupParams(a, h1, h2, xi))
+
+    @pytest.mark.parametrize("p", [SetupParams(1000.0, 1.0, 2.0, 0.3), SetupParams(2710.0, 1.5, 1.2, 1.2)])
+    def test_deep_points_keep_epsilon_within_bound(self, p):
+        # a (h1^2 + h2^2) near 5e3 and 1e4: epsilon and bound underflow float64,
+        # so the bound is compared in mpmath
+        assert _assert_table_matches_reference(p)
+
+    @pytest.mark.parametrize("h1, h2", [(1.0, 2.0), (0.3, 1.7), (2.0, 2.0)])
+    def test_product_state_is_exact(self, h1, h2):
+        rep = visibility_report(SetupParams(2.0, h1, h2, 0.0))
+        assert rep.V == 1.0 and rep.D == 0.0 and rep.epsilon == 0.0
 
 
 class TestEnvelopes:
