@@ -112,12 +112,11 @@ _SLICE_PINS = ((0.5, 0.5, 0, 0), (0.5, -0.5, 0, 0), (0, 1, -1, -1))
 
 def _pinned_constants_mp(params: SetupParams, sign: int, convention: str) -> tuple:
     """Brace constants (env-, env+, env0) of the corrected slice after phase pinning."""
-    xi = mpmath.mpf(params.xi)
     e1, e2 = _mpcore.slit_exponentials(params.a, params.h1, params.h2)
     b2 = _mpcore.b2(params.a, params.h1, params.h2, params.xi)
     b4 = b2 * b2
     b4_add = b4 if convention == "b4_xi" else _mpcore.b2(params.a, params.h1, params.h2, PI / 4.0) ** 2
-    consts = (b2, b4, b4_add, mpmath.cos(xi), mpmath.sin(xi), _mpcore.trig2(params.xi)[0], e1, e2)
+    consts = (b2, b4, b4_add, mpmath.cos(params.xi), mpmath.sin(params.xi), _mpcore.trig2(params.xi)[0], e1, e2)
     return tuple(_slice_bracket(consts, sign, *pin) for pin in _SLICE_PINS)
 
 

@@ -96,7 +96,7 @@ def _envelope_table_mp(params: SetupParams) -> dict:
 
 @dataclass
 class EnvelopeSet:
-    """Upper/lower fringe envelopes of one marginal, as callables plus brace constants."""
+    """Upper/lower fringe envelopes of one marginal, as callables plus constants."""
 
     observable: str
     env_minus: Callable[[np.ndarray], np.ndarray]
