@@ -4,9 +4,15 @@ Several contracts in this package sit below double-precision resolution
 (complementarity sums within 1e-20 of 1, epsilon bounds of order e^{-100}).
 Scalar closed forms are therefore evaluated with mpmath at 50 significant
 digits and rounded exactly once at the float boundary.
+
+Every scalar closed form is a function of a few per-point constants, which
+:func:`point` builds once per entry point, at that entry point's precision.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
+from typing import Optional
 
 import mpmath
 
@@ -30,8 +36,31 @@ def workdps(params=None) -> mpmath.ctx_base.StandardBaseContext:
     return mpmath.workdps(dps)
 
 
-def mpf(x) -> mpmath.mpf:
-    return mpmath.mpf(x)
+# The per-point constants of the closed forms, at the precision they were built at:
+# a, h1, h2, e_i = e^{-2a h_i^2}, cos xi, sin xi, cos 2xi, sin 2xi and B^2.
+Point = namedtuple("Point", "a h1 h2 e1 e2 cx sx c2 s2 b2")
+
+
+def point(params, slits: Optional[Point] = None) -> Point:
+    """The record of ``params`` at the working precision.
+
+    ``slits`` is a record of the same (a, h1, h2) built at the same precision,
+    such as the record of the point whose xi = pi/4 reference this is; its
+    e^{-2a h_i^2} are reused instead of evaluated again.
+    """
+    a, h1, h2 = mpmath.mpf(params.a), mpmath.mpf(params.h1), mpmath.mpf(params.h2)
+    if slits is None:
+        e1, e2 = mpmath.exp(-2 * a * h1 * h1), mpmath.exp(-2 * a * h2 * h2)
+    else:
+        e1, e2 = slits.e1, slits.e2
+    xi = mpmath.mpf(params.xi)
+    two_xi = 2 * xi
+    c2 = mpmath.cos(two_xi)
+    return Point(a, h1, h2, e1, e2, mpmath.cos(xi), mpmath.sin(xi), c2, mpmath.sin(two_xi),
+                 2 / (1 + e1 * e2 + (e1 + e2) * c2))
+
+
+# Single-purpose forms of the record's constants; the tests compare the record against them.
 
 
 def trig2(xi) -> tuple[mpmath.mpf, mpmath.mpf]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from typing import Optional
@@ -19,9 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import corrected, correlation, density, validation, visibility
-from .state import BasisPair, ParameterDomainError, SetupParams, UnsupportedBasisError
-
-PI = math.pi
+from .state import PI, BasisPair, ParameterDomainError, SetupParams, UnsupportedBasisError
 
 __all__ = ["main"]
 

@@ -31,9 +31,7 @@ import numpy as np
 from . import _mpcore
 from .density import density_at
 from .radon import marginal_k1, marginal_k2
-from .state import KK, SetupParams, _slits_equal, normalization_b2
-
-PI = math.pi
+from .state import KK, PI, SetupParams, _slits_equal, normalization_b2
 
 __all__ = [
     "CorrectedReport",
@@ -110,13 +108,16 @@ def corrected_slice_spm(params: SetupParams, sign: int, s, convention: str = "b4
 _SLICE_PINS = ((0.5, 0.5, 0, 0), (0.5, -0.5, 0, 0), (0, 1, -1, -1))
 
 
-def _pinned_constants_mp(params: SetupParams, sign: int, convention: str) -> tuple:
+def _added_b4_mp(params: SetupParams, pt: _mpcore.Point, convention: str):
+    """B^4 of the added term under ``convention``, from the record ``pt`` of ``params``."""
+    if convention == "b4_xi":
+        return pt.b2 * pt.b2
+    return _mpcore.point(params.with_xi(PI / 4.0), slits=pt).b2 ** 2
+
+
+def _pinned_constants_mp(pt: _mpcore.Point, sign: int, b4_add) -> tuple:
     """Brace constants (env-, env+, env0) of the corrected slice after phase pinning."""
-    e1, e2 = _mpcore.slit_exponentials(params.a, params.h1, params.h2)
-    b2 = _mpcore.b2(params.a, params.h1, params.h2, params.xi)
-    b4 = b2 * b2
-    b4_add = b4 if convention == "b4_xi" else _mpcore.b2(params.a, params.h1, params.h2, PI / 4.0) ** 2
-    consts = (b2, b4, b4_add, mpmath.cos(params.xi), mpmath.sin(params.xi), _mpcore.trig2(params.xi)[0], e1, e2)
+    consts = (pt.b2, pt.b2 * pt.b2, b4_add, pt.cx, pt.sx, pt.c2, pt.e1, pt.e2)
     return tuple(_slice_bracket(consts, sign, *pin) for pin in _SLICE_PINS)
 
 
@@ -139,7 +140,8 @@ def corrected_envelopes(
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     with _mpcore.workdps():
-        km_f, kp_f, k0_f = map(float, _pinned_constants_mp(params, sign, convention))
+        pt = _mpcore.point(params)
+        km_f, kp_f, k0_f = map(float, _pinned_constants_mp(pt, sign, _added_b4_mp(params, pt, convention)))
     a = params.a
 
     def _pref(s: np.ndarray) -> np.ndarray:
@@ -183,28 +185,24 @@ class CorrectedReport:
         }
 
 
-def _corrected_vis_mp(params: SetupParams, sign: int, convention: str, equal: bool):
-    k_minus, k_plus, k_zero = _pinned_constants_mp(params, sign, convention)
-    k_other = k_zero if equal else k_plus
-    denom = k_other + k_minus
-    if denom == 0:
-        return mpmath.mpf(0)
-    return abs(k_other - k_minus) / denom
-
-
-def corrected_f_mp(params: SetupParams, convention: str = "b4_xi"):
+def _corrected_vis_mp(params: SetupParams, pt: _mpcore.Point, convention: str) -> tuple:
+    """(V(s+), V(s-)) of the corrected slices: the contrast of the active envelope pair for each sign."""
+    b4_add = _added_b4_mp(params, pt, convention)
     equal = _slits_equal(params)
-    vp = _corrected_vis_mp(params, 1, convention, equal)
-    vm = _corrected_vis_mp(params, -1, convention, equal)
-    return vp, vm, max(vp, vm)
+    vis = []
+    for sign in (1, -1):
+        k_minus, k_plus, k_zero = _pinned_constants_mp(pt, sign, b4_add)
+        k_other = k_zero if equal else k_plus
+        denom = k_other + k_minus
+        vis.append(mpmath.mpf(0) if denom == 0 else abs(k_other - k_minus) / denom)
+    return tuple(vis)
 
 
 def corrected_f(params: SetupParams, convention: str = "b4_xi") -> CorrectedReport:
     _check_convention(convention)
-    equal = _slits_equal(params)
     with _mpcore.workdps():
-        vp, vm, f = corrected_f_mp(params, convention)
-        vp_f, vm_f, f_f = float(vp), float(vm), float(f)
+        vp, vm = _corrected_vis_mp(params, _mpcore.point(params), convention)
+        vp_f, vm_f, f_f = float(vp), float(vm), float(max(vp, vm))
     hh_max = max(params.h1, params.h2) ** 2
     rh = math.sqrt(params.h1 ** 2 + params.h2 ** 2)
     pin_s = (PI / 4.0) * rh / hh_max
@@ -213,7 +211,7 @@ def corrected_f(params: SetupParams, convention: str = "b4_xi") -> CorrectedRepo
         v_splus=vp_f,
         v_sminus=vm_f,
         F=f_f,
-        equality_mode=equal,
+        equality_mode=_slits_equal(params),
         convention=convention,
         pin_s=pin_s,
     )

@@ -20,10 +20,8 @@ import mpmath
 import numpy as np
 
 from . import _mpcore
-from .state import Axis, SetupParams, normalization_b2
+from .state import PI, Axis, SetupParams, normalization_b2
 from .visibility import single_particle_v_mp
-
-PI = math.pi
 
 __all__ = [
     "CorrelationReport",
@@ -54,27 +52,17 @@ class MomentSet:
     var2: float
 
 
-def _moments_x_mp(params: SetupParams):
-    a = mpmath.mpf(params.a)
-    h1 = mpmath.mpf(params.h1)
-    h2 = mpmath.mpf(params.h2)
-    c2, s2 = _mpcore.trig2(params.xi)
-    e1, e2 = _mpcore.slit_exponentials(params.a, params.h1, params.h2)
-    b2 = _mpcore.b2(params.a, params.h1, params.h2, params.xi)
-    cov = b2 / 2 * h1 * h2 * s2
+def _moments_x_mp(pt: _mpcore.Point):
+    a, h1, h2, e1, e2, c2, b2 = pt.a, pt.h1, pt.h2, pt.e1, pt.e2, pt.c2, pt.b2
+    cov = b2 / 2 * h1 * h2 * pt.s2
     var1 = b2 / (8 * a) * (e1 * e2 + e1 * c2 + (1 + 4 * a * h1 * h1) * (1 + e2 * c2))
     var2 = b2 / (8 * a) * (e1 * e2 + e2 * c2 + (1 + 4 * a * h2 * h2) * (1 + e1 * c2))
     return cov, var1, var2
 
 
-def _moments_k_mp(params: SetupParams):
-    a = mpmath.mpf(params.a)
-    h1 = mpmath.mpf(params.h1)
-    h2 = mpmath.mpf(params.h2)
-    c2, s2 = _mpcore.trig2(params.xi)
-    e1, e2 = _mpcore.slit_exponentials(params.a, params.h1, params.h2)
-    b2 = _mpcore.b2(params.a, params.h1, params.h2, params.xi)
-    cov = -2 * a * a * b2 * e1 * e2 * h1 * h2 * s2
+def _moments_k_mp(pt: _mpcore.Point):
+    a, h1, h2, e1, e2, c2, b2 = pt.a, pt.h1, pt.h2, pt.e1, pt.e2, pt.c2, pt.b2
+    cov = -2 * a * a * b2 * e1 * e2 * h1 * h2 * pt.s2
     var1 = a * b2 / 2 * (1 + e2 * c2 + e1 * (1 - 4 * a * h1 * h1) * (e2 + c2))
     var2 = a * b2 / 2 * (1 + e1 * c2 + e2 * (1 - 4 * a * h2 * h2) * (e1 + c2))
     return cov, var1, var2
@@ -82,7 +70,7 @@ def _moments_k_mp(params: SetupParams):
 
 def moments_x(params: SetupParams) -> MomentSet:
     with _mpcore.workdps():
-        cov, var1, var2 = _moments_x_mp(params)
+        cov, var1, var2 = _moments_x_mp(_mpcore.point(params))
         return MomentSet(Axis.POSITION, 0.0, 0.0, float(cov), float(var1), float(var2))
 
 
@@ -92,23 +80,34 @@ def moments_k(params: SetupParams) -> MomentSet:
     Use :func:`rho_k_log10_abs` / :func:`rho_k_sign` for the magnitude.
     """
     with _mpcore.workdps():
-        cov, var1, var2 = _moments_k_mp(params)
+        cov, var1, var2 = _moments_k_mp(_mpcore.point(params))
         return MomentSet(Axis.WAVENUMBER, 0.0, 0.0, float(cov), float(var1), float(var2))
 
 
-def _rho_x_mp(params: SetupParams):
-    cov, var1, var2 = _moments_x_mp(params)
+def _rho_mp(moments):
+    cov, var1, var2 = moments
     return cov / mpmath.sqrt(var1 * var2)
 
 
-def _rho_k_mp(params: SetupParams):
-    cov, var1, var2 = _moments_k_mp(params)
-    return cov / mpmath.sqrt(var1 * var2)
+def _correlations_mp(params: SetupParams, pt: _mpcore.Point) -> tuple:
+    """(rho_x, rho_k, R, S, rho_k at xi = pi/4) from the record ``pt`` of ``params``.
+
+    R and S normalize |rho| by its value at the maximally entangled reference
+    ``params.with_xi(pi/4)``, whose record reuses pt's slit exponentials.
+    """
+    ref = _mpcore.point(params.with_xi(PI / 4.0), slits=pt)
+    rx, rk = _rho_mp(_moments_x_mp(pt)), _rho_mp(_moments_k_mp(pt))
+    rx_ref, rk_ref = _rho_mp(_moments_x_mp(ref)), _rho_mp(_moments_k_mp(ref))
+    return rx, rk, abs(rx) / abs(rx_ref), abs(rk) / abs(rk_ref), rk_ref
+
+
+def _log10_abs(rho) -> Optional[float]:
+    return None if rho == 0 else float(mpmath.log10(abs(rho)))
 
 
 def rho_x(params: SetupParams) -> float:
     with _mpcore.workdps():
-        return float(_rho_x_mp(params))
+        return float(_rho_mp(_moments_x_mp(_mpcore.point(params))))
 
 
 def rho_k_log10_abs(params: SetupParams) -> Optional[float]:
@@ -119,38 +118,24 @@ def rho_k_log10_abs(params: SetupParams) -> Optional[float]:
     of ``report`` output) is the same quantity.
     """
     with _mpcore.workdps():
-        rho = _rho_k_mp(params)
-        if rho == 0:
-            return None
-        return float(mpmath.log10(abs(rho)))
+        return _log10_abs(_rho_mp(_moments_k_mp(_mpcore.point(params))))
 
 
 def rho_k_sign(params: SetupParams) -> int:
     with _mpcore.workdps():
-        rho = _rho_k_mp(params)
-        return int(mpmath.sign(rho))
-
-
-def _normalized_r_mp(params: SetupParams):
-    ref = params.with_xi(PI / 4.0)
-    return abs(_rho_x_mp(params)) / abs(_rho_x_mp(ref))
-
-
-def _normalized_s_mp(params: SetupParams):
-    ref = params.with_xi(PI / 4.0)
-    return abs(_rho_k_mp(params)) / abs(_rho_k_mp(ref))
+        return int(mpmath.sign(_rho_mp(_moments_k_mp(_mpcore.point(params)))))
 
 
 def normalized_r(params: SetupParams) -> float:
     """Position correlation normalized to the maximally entangled angle."""
     with _mpcore.workdps():
-        return float(_normalized_r_mp(params))
+        return float(_correlations_mp(params, _mpcore.point(params))[2])
 
 
 def normalized_s(params: SetupParams) -> float:
     """Wavenumber correlation normalized to the maximally entangled angle."""
     with _mpcore.workdps():
-        return float(_normalized_s_mp(params))
+        return float(_correlations_mp(params, _mpcore.point(params))[3])
 
 
 def marginal_k1_mixed(params: SetupParams, k1) -> np.ndarray:
@@ -188,9 +173,8 @@ def practicality_diagnostic(params: SetupParams, floor: float = 1e-15) -> Practi
     if floor < 0:
         raise ValueError("floor must be non-negative")
     with _mpcore.workdps():
-        rho = _rho_k_mp(params.with_xi(PI / 4.0))
-        mag = abs(rho)
-        log10_abs = None if mag == 0 else float(mpmath.log10(mag))
+        mag = abs(_rho_mp(_moments_k_mp(_mpcore.point(params.with_xi(PI / 4.0)))))
+        log10_abs = _log10_abs(mag)
         flagged = bool(mag < floor)
     return PracticalityDiagnostic(rho_k_pi4_log10_abs=log10_abs, floor=floor, flagged=flagged)
 
@@ -240,16 +224,13 @@ def complementarity_sums(params: SetupParams, floor: float = 1e-15) -> Correlati
     artifacts of sin^2 + cos^2 != 1 in binary64.
     """
     with _mpcore.workdps():
-        v = single_particle_v_mp(params)
-        rx = _rho_x_mp(params)
-        rk = _rho_k_mp(params)
-        r = _normalized_r_mp(params)
-        s = _normalized_s_mp(params)
-        mag = abs(_rho_k_mp(params.with_xi(PI / 4.0)))
+        pt = _mpcore.point(params)
+        v = single_particle_v_mp(pt)
+        rx, rk, r, s, rk_ref = _correlations_mp(params, pt)
         report = CorrelationReport(
             params=params,
             rho_x=float(rx),
-            rho_k_log10_abs=None if rk == 0 else float(mpmath.log10(abs(rk))),
+            rho_k_log10_abs=_log10_abs(rk),
             rho_k_sign=int(mpmath.sign(rk)),
             R=float(r),
             S=float(s),
@@ -257,6 +238,6 @@ def complementarity_sums(params: SetupParams, floor: float = 1e-15) -> Correlati
             V2_plus_S2=float(v * v + s * s),
             rhox2_plus_V2=float(rx * rx + v * v),
             rhok2_plus_V2=float(rk * rk + v * v),
-            detectability_flag=bool(mag < floor),
+            detectability_flag=bool(abs(rk_ref) < floor),
         )
     return report

@@ -20,6 +20,7 @@ import numpy as np
 
 from .state import (
     KK,
+    PI,
     Axis,
     BasisPair,
     SetupParams,
@@ -28,8 +29,6 @@ from .state import (
     psi,
     separable_weights,
 )
-
-PI = math.pi
 
 __all__ = [
     "Density2D",

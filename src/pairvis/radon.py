@@ -17,9 +17,8 @@ import numpy as np
 
 from .density import basis_domains, basis_panel_hints, integrate_1d_batch
 from .density import density_at
-from .state import KK, BasisPair, SetupParams, _line_frequencies, normalization_b2
+from .state import KK, PI, BasisPair, SetupParams, _line_frequencies, normalization_b2
 
-PI = math.pi
 
 OBSERVABLES = ("k1", "k2", "k+", "k-", "s+", "s-")
 

@@ -16,9 +16,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import _mpcore, corrected, correlation, density, radon, visibility
-from .state import KK, KX, XK, XX, SetupParams, decomposition_residual, psi
-
-PI = math.pi
+from .state import KK, KX, PI, XK, XX, SetupParams, decomposition_residual, psi
 
 __all__ = ["CheckResult", "run_validation"]
 
@@ -169,7 +167,8 @@ def _epsilon_bound_dev(params_list: Iterable[SetupParams]) -> float:
     worst = 0.0
     for params in params_list:
         with _mpcore.workdps(params):
-            excess = abs(visibility.epsilon_mp(params)) / visibility.bound_mp(params) - 1
+            pt = _mpcore.point(params)
+            excess = abs(visibility.epsilon_mp(pt)) / visibility.bound_mp(pt) - 1
             if excess > 0:
                 # a violation too small for float64 must still fail the zero tolerance
                 worst = max(worst, float(excess), math.ulp(0.0))

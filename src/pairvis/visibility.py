@@ -27,9 +27,7 @@ import numpy as np
 
 from . import _mpcore
 from .radon import OBSERVABLES, RadonAngle, _marginal_brace, marginal_at
-from .state import SetupParams, _line_frequencies, _slits_equal, normalization_b2
-
-PI = math.pi
+from .state import PI, SetupParams, _line_frequencies, _slits_equal, normalization_b2
 
 __all__ = [
     "EnvelopeSet",
@@ -59,8 +57,8 @@ _PINS = {
 _COS_HALF_PI = (1, 0, -1, 0)  # cos(n π/2) for n mod 4
 
 
-def _envelope_table_mp(params: SetupParams) -> dict:
-    """(lower, upper) brace of every observable's marginal at its pinned phases, at working precision.
+def _envelope_table_mp(pt: _mpcore.Point, observables=OBSERVABLES) -> dict:
+    """(lower, upper) brace of each of ``observables``' marginals at its pinned phases, at working precision.
 
     With θ1 = h1 s cos(phi) and θ2 = h2 s sin(phi) the brace of :func:`radon.marginal_at` reads
 
@@ -70,18 +68,17 @@ def _envelope_table_mp(params: SetupParams) -> dict:
     E1 = e^{-2a B1^2}, E2 = e^{-2a B2^2}, E3 = e^{-a(B1+B2)^2/2}, E4 = e^{-a(B1-B2)^2/2}.
     The envelopes are the marginal's prefactor times this brace at the pins of ``_PINS``.
     """
-    a = mpmath.mpf(params.a)
-    c2, s2 = _mpcore.trig2(params.xi)
-    w1, w2, w3 = (1 + s2) / 4, (1 - s2) / 4, c2 / 2
+    a = pt.a
+    w1, w2, w3 = (1 + pt.s2) / 4, (1 - pt.s2) / 4, pt.c2 / 2
     half = mpmath.mpf(1) / 2
     r = mpmath.sqrt(half)
-    rh = mpmath.hypot(params.h1, params.h2)
+    rh = mpmath.hypot(pt.h1, pt.h2)
     one, zero = mpmath.mpf(1), mpmath.mpf(0)
     directions = {"k1": (one, zero), "k2": (zero, one), "k+": (r, r), "k-": (r, -r),
-                  "s+": (params.h1 / rh, params.h2 / rh), "s-": (params.h1 / rh, -params.h2 / rh)}
+                  "s+": (pt.h1 / rh, pt.h2 / rh), "s-": (pt.h1 / rh, -pt.h2 / rh)}
     table = {}
-    for observable, (c, sn) in directions.items():
-        _, b1, _, b2 = _line_frequencies(params, c, sn)
+    for observable in observables:
+        _, b1, _, b2 = _line_frequencies(pt, *directions[observable])
         e1 = w1 * mpmath.exp(-2 * a * b1 * b1)
         e2 = w2 * mpmath.exp(-2 * a * b2 * b2)
         e3 = w3 * mpmath.exp(-a * (b1 + b2) ** 2 / 2)
@@ -109,7 +106,7 @@ def envelopes_for(params: SetupParams, observable: str) -> EnvelopeSet:
     if observable not in _PINS:
         raise ValueError(f"unknown observable {observable!r}; expected one of {OBSERVABLES}")
     with _mpcore.workdps():
-        lower, upper = _envelope_table_mp(params)[observable]
+        lower, upper = _envelope_table_mp(_mpcore.point(params), (observable,))[observable]
         lo_f, up_f = float(lower), float(upper)
     a = params.a
     b2 = normalization_b2(params)
@@ -137,59 +134,59 @@ def visibility_of(env: EnvelopeSet) -> float:
         return float(_contrast(env._lower, env._upper))
 
 
-def _measures_mp(params: SetupParams):
-    """(contrast per observable, V, W, D) from one envelope table."""
-    vis = {obs: _contrast(lower, upper) for obs, (lower, upper) in _envelope_table_mp(params).items()}
-    return vis, max(vis["k1"], vis["k2"]), abs(vis["k+"] - vis["k-"]), abs(vis["s+"] - vis["s-"])
+# The pair of observables behind each measure: V is the larger contrast, W and D the gap.
+_MEASURES = {"V": ("k1", "k2"), "W": ("k+", "k-"), "D": ("s+", "s-")}
 
 
-def single_particle_v_mp(params: SetupParams):
-    return _measures_mp(params)[1]
+def _measures_mp(pt: _mpcore.Point, observables=OBSERVABLES) -> dict:
+    """Contrast of each of ``observables`` and each of V, W, D whose pair is among them, from one envelope table."""
+    vis = {obs: _contrast(lower, upper) for obs, (lower, upper) in _envelope_table_mp(pt, observables).items()}
+    for name, (first, second) in _MEASURES.items():
+        if first in vis and second in vis:
+            vis[name] = max(vis[first], vis[second]) if name == "V" else abs(vis[first] - vis[second])
+    return vis
+
+
+def single_particle_v_mp(pt: _mpcore.Point):
+    return _measures_mp(pt, _MEASURES["V"])["V"]
 
 
 def single_particle_v(params: SetupParams) -> float:
     """Best single-particle visibility V = max(V(k1), V(k2))."""
     with _mpcore.workdps():
-        return float(single_particle_v_mp(params))
-
-
-def two_particle_w_mp(params: SetupParams):
-    return _measures_mp(params)[2]
+        return float(single_particle_v_mp(_mpcore.point(params)))
 
 
 def two_particle_w(params: SetupParams) -> float:
     """Conditional two-particle visibility W = |V(k+) - V(k-)|."""
     with _mpcore.workdps():
-        return float(two_particle_w_mp(params))
-
-
-def two_particle_d_mp(params: SetupParams):
-    return _measures_mp(params)[3]
+        return float(_measures_mp(_mpcore.point(params), _MEASURES["W"])["W"])
 
 
 def two_particle_d(params: SetupParams) -> float:
     """Distributed two-particle visibility D = |V(s+) - V(s-)|."""
     with _mpcore.workdps():
-        return float(two_particle_d_mp(params))
+        return float(_measures_mp(_mpcore.point(params), _MEASURES["D"])["D"])
 
 
-def epsilon_mp(params: SetupParams):
-    _, v, _, d = _measures_mp(params)
-    return 1 - v * v - d * d
+def _epsilon(vis: dict):
+    return 1 - vis["V"] * vis["V"] - vis["D"] * vis["D"]
 
 
-def bound_mp(params: SetupParams):
-    a = mpmath.mpf(params.a)
-    h1 = mpmath.mpf(params.h1)
-    h2 = mpmath.mpf(params.h2)
-    g = (h1 * h2) ** 2 / (h1 * h1 + h2 * h2)
-    return 2 * mpmath.exp(-2 * a * g)
+def epsilon_mp(pt: _mpcore.Point):
+    return _epsilon(_measures_mp(pt, _MEASURES["V"] + _MEASURES["D"]))
+
+
+def bound_mp(pt: _mpcore.Point):
+    g = (pt.h1 * pt.h2) ** 2 / (pt.h1 * pt.h1 + pt.h2 * pt.h2)
+    return 2 * mpmath.exp(-2 * pt.a * g)
 
 
 def epsilon_and_bound(params: SetupParams) -> tuple[float, float]:
     """(1 - V^2 - D^2, 2 e^{-2 a g}); the first is guaranteed smaller in magnitude."""
     with _mpcore.workdps(params):
-        return float(epsilon_mp(params)), float(bound_mp(params))
+        pt = _mpcore.point(params)
+        return float(epsilon_mp(pt)), float(bound_mp(pt))
 
 
 @dataclass(frozen=True)
@@ -283,9 +280,8 @@ class VisibilityReport:
 
 def visibility_report(params: SetupParams) -> VisibilityReport:
     with _mpcore.workdps(params):
-        vis, v, w, d = _measures_mp(params)
-        eps = 1 - v * v - d * d
-        bound = bound_mp(params)
+        pt = _mpcore.point(params)
+        vis = _measures_mp(pt)
         return VisibilityReport(
             params=params,
             v_k1=float(vis["k1"]),
@@ -294,10 +290,10 @@ def visibility_report(params: SetupParams) -> VisibilityReport:
             v_kminus=float(vis["k-"]),
             v_splus=float(vis["s+"]),
             v_sminus=float(vis["s-"]),
-            V=float(v),
-            W=float(w),
-            D=float(d),
-            epsilon=float(eps),
-            bound=float(bound),
+            V=float(vis["V"]),
+            W=float(vis["W"]),
+            D=float(vis["D"]),
+            epsilon=float(_epsilon(vis)),
+            bound=float(bound_mp(pt)),
             regime_warning=params.regime_warning,
         )

@@ -108,8 +108,9 @@ def test_criterion_03_complementarity_bound():
         # the tightest lattice points sit at |eps| ~ e^{-120}; precision must
         # exceed the 1 - V^2 - D^2 cancellation scale, hence the params arg
         with _mpcore.workdps(p):
-            eps = visibility.epsilon_mp(p)
-            bound = visibility.bound_mp(p)
+            pt = _mpcore.point(p)
+            eps = visibility.epsilon_mp(pt)
+            bound = visibility.bound_mp(pt)
             if not abs(eps) < bound:
                 lattice_ok = False
     with _mpcore.workdps():
@@ -119,7 +120,7 @@ def test_criterion_03_complementarity_bound():
         for a in np.linspace(2.0, 8.0, 121):
             for xi in (PI / 8.0, 0.3, 3.0 * PI / 8.0):
                 p = SetupParams(float(a), 1.0, 1.0, xi)
-                eps = abs(visibility.epsilon_mp(p))
+                eps = abs(visibility.epsilon_mp(_mpcore.point(p)))
                 sweep_worst_ratio = max(sweep_worst_ratio, eps / (2 * mpmath.exp(-mpmath.mpf(float(a)))))
                 if a <= 3.0:
                     head = max(head, eps)
@@ -173,10 +174,10 @@ def test_criterion_06_infinite_squeezing_limits():
             p = SetupParams(50.0, 1.0, 1.0, float(xi))
             c2 = abs(mpmath.cos(2 * mpmath.mpf(p.xi)))
             s2 = abs(mpmath.sin(2 * mpmath.mpf(p.xi)))
-            v = visibility.single_particle_v_mp(p)
-            d = visibility.two_particle_d_mp(p)
-            r = correlation._normalized_r_mp(p)
-            s = correlation._normalized_s_mp(p)
+            pt = _mpcore.point(p)
+            vis = visibility._measures_mp(pt)
+            v, d = vis["V"], vis["D"]
+            _, _, r, s, _ = correlation._correlations_mp(p, pt)
             worst = max(
                 worst,
                 abs(v - c2),
@@ -197,16 +198,18 @@ def test_criterion_07_corrected_method():
         max_gap = mpmath.mpf(-1)
         for a in np.linspace(2.0, 8.0, 61):
             p = SetupParams(float(a), 1.0, 1.0, 0.3)
-            v = visibility.single_particle_v_mp(p)
-            _, _, f = corrected.corrected_f_mp(p)
+            pt = _mpcore.point(p)
+            v = visibility.single_particle_v_mp(pt)
+            f = max(corrected._corrected_vis_mp(p, pt, "b4_xi"))
             total = v * v + f * f
             max_sum = max(max_sum, total)
             max_gap = max(max_gap, 1 - total)
         equal_ok = max_sum <= 1 + mpmath.mpf("1e-9") and max_gap >= mpmath.mpf("1e-3")
         # unequal slits: perfect complementarity in the strong-squeezing limit
         p = SetupParams(50.0, 1.0, 2.0, 0.7)
-        v = visibility.single_particle_v_mp(p)
-        _, _, f = corrected.corrected_f_mp(p)
+        pt = _mpcore.point(p)
+        v = visibility.single_particle_v_mp(pt)
+        f = max(corrected._corrected_vis_mp(p, pt, "b4_xi"))
         uneq_dev = abs(v * v + f * f - 1)
         uneq_ok = uneq_dev <= mpmath.mpf("1e-15")
         ok = equal_ok and uneq_ok
@@ -278,10 +281,11 @@ def _cov_k_oracle_mp(p: SetupParams) -> mpmath.mpf:
 def test_criterion_08_companion_verified_magnitude():
     p = SetupParams(10.0, 1.0, 1.0, PI / 4.0)
     with _mpcore.workdps():
-        cov_closed = correlation._moments_k_mp(p)[0]
+        moments = correlation._moments_k_mp(_mpcore.point(p))
+        cov_closed = moments[0]
         cov_oracle = _cov_k_oracle_mp(p)
         rel = abs(cov_closed - cov_oracle) / abs(cov_oracle)
-        rho = correlation._rho_k_mp(p)
+        rho = correlation._rho_mp(moments)
         rho_float = float(abs(rho))
         rho_sq = float(rho * rho)
         assert rel < mpmath.mpf("1e-9")
@@ -354,9 +358,10 @@ def test_criterion_10_faster_convergence():
         threshold = mpmath.mpf("1e-10")
         for a in np.linspace(2.0, 8.0, 121):
             p = SetupParams(float(a), 1.0, 1.0, 0.3)
-            v = visibility.single_particle_v_mp(p)
-            d = visibility.two_particle_d_mp(p)
-            r = correlation._normalized_r_mp(p)
+            pt = _mpcore.point(p)
+            vis = visibility._measures_mp(pt)
+            v, d = vis["V"], vis["D"]
+            r = correlation._correlations_mp(p, pt)[2]
             dev_r = abs(1 - v * v - r * r)
             dev_d = abs(1 - v * v - d * d)
             if dev_r > threshold and dev_d > threshold:
@@ -415,7 +420,7 @@ def test_criterion_11_moment_oracle():
             # quadrature noise floor; certified by the factorized mp oracle
             with _mpcore.workdps():
                 all_ok = all_ok and agree_mp(
-                    correlation._moments_x_mp(p)[0], _cov_x_oracle_mp(p)
+                    correlation._moments_x_mp(_mpcore.point(p))[0], _cov_x_oracle_mp(p)
                 )
         mk = moments_k(p)
         _, kvar1_q, kvar2_q = _quad_moments(p, KK)
@@ -425,7 +430,7 @@ def test_criterion_11_moment_oracle():
         # at large a; certified by the factorized extended-precision oracle
         with _mpcore.workdps():
             all_ok = all_ok and agree_mp(
-                correlation._moments_k_mp(p)[0], _cov_k_oracle_mp(p)
+                correlation._moments_k_mp(_mpcore.point(p))[0], _cov_k_oracle_mp(p)
             )
     ok = all_ok
     _verdict(11, ok, "closed-form moments vs quadrature oracles, both bases, full lattice")

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from pairvis.cli import ConfigError, main, parse_angle, parse_grid_shape
 
 PI = math.pi
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(argv, capsys):
@@ -247,6 +250,26 @@ class TestSweepCommand:
         # 17 significant digits round-trip float64 exactly
         for cell in row:
             assert f"{float(cell):.17g}" == cell
+
+
+class TestGoldenOutput:
+    """stdout byte for byte against files written by the command lines below."""
+
+    @pytest.mark.parametrize("name,argv", [
+        ("report_a30_h1-2_xi0.3_b4_xi", ["report", "--a", "30", "--h1", "1", "--h2", "2", "--xi", "0.3",
+                                         "--format", "csv", "--convention", "b4_xi"]),
+        ("report_a30_h1-2_xi0.3_b4_pi4", ["report", "--a", "30", "--h1", "1", "--h2", "2", "--xi", "0.3",
+                                          "--format", "csv", "--convention", "b4_pi4"]),
+        ("report_a6_h1-1_xi0", ["report", "--a", "6", "--h1", "1", "--h2", "1", "--xi", "0", "--format", "csv"]),
+        ("report_a600_h1-2_xi0.3", ["report", "--a", "600", "--h1", "1", "--h2", "2", "--xi", "0.3",
+                                    "--format", "csv"]),
+        ("sweep_h1-2_xi0.3_a2-30_n16", ["sweep", "--h1", "1", "--h2", "2", "--xi", "0.3", "--sweep-start", "2",
+                                        "--sweep-stop", "30", "--sweep-count", "16", "--format", "csv"]),
+    ])
+    def test_csv_stdout_matches_golden_file(self, name, argv, capsys):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
 
 
 class TestDeterminism:

@@ -18,7 +18,7 @@ from pairvis import (
     single_particle_v,
 )
 from pairvis import _mpcore
-from pairvis.corrected import _pinned_constants_mp, slice_envelope_crossover
+from pairvis.corrected import _added_b4_mp, _pinned_constants_mp, slice_envelope_crossover
 from pairvis.radon import marginal_k1, marginal_k2, splus_angle
 from pairvis.state import KK
 
@@ -130,8 +130,10 @@ class TestEnvelopes:
                     for xi in (0.0, 0.3, PI / 4.0, 1.2, 2.5):
                         p = SetupParams(a, h1, h2, xi)
                         scale = _mpcore.b2(a, h1, h2, xi) ** 2
+                        pt = _mpcore.point(p)
+                        b4_add = _added_b4_mp(p, pt, convention)
                         for sign in (1, -1):
-                            pinned = _pinned_constants_mp(p, sign, convention)
+                            pinned = _pinned_constants_mp(pt, sign, b4_add)
                             for which, value in zip(("minus", "plus", "zero"), pinned):
                                 ref = _pinned_constant_mp(p, sign, which, convention)
                                 assert abs(value - ref) <= 1e-40 * scale, (p, sign, which)

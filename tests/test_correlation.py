@@ -106,6 +106,10 @@ class TestNormalizedMeasures:
         p = SetupParams(5.0, 1.0, 2.0, PI / 4.0)
         assert normalized_r(p) == pytest.approx(1.0, abs=1e-15)
         assert normalized_s(p) == pytest.approx(1.0, abs=1e-15)
+        # the reference is the same record, so the ratios are exactly one
+        for a in (5.0, 6.0, 30.0):
+            sums = complementarity_sums(SetupParams(a, 1.0, 2.0, PI / 4.0))
+            assert sums.R == 1.0 and sums.S == 1.0
 
     def test_zero_at_separable_angle(self):
         p = SetupParams(5.0, 1.0, 2.0, 0.0)

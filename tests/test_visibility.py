@@ -70,20 +70,21 @@ def _envelope_constants_mp(params, observable):
 def _assert_table_matches_reference(p):
     """Table and epsilon against the hand-derived families; returns whether |epsilon| < bound in mpmath."""
     with _mpcore.workdps(p):
+        pt = _mpcore.point(p)
         vis = {}
-        for observable, (lower, upper) in _envelope_table_mp(p).items():
+        for observable, (lower, upper) in _envelope_table_mp(pt).items():
             ref_lower, ref_upper, scale = _envelope_constants_mp(p, observable)
             assert abs(lower - ref_lower * scale) <= 1e-40 * upper, (p, observable)
             assert abs(upper - ref_upper * scale) <= 1e-40 * upper, (p, observable)
             vis[observable] = abs(ref_upper - ref_lower) / (ref_upper + ref_lower)
         v = max(vis["k1"], vis["k2"])
         d = abs(vis["s+"] - vis["s-"])
-        eps, ref = epsilon_mp(p), 1 - v * v - d * d
+        eps, ref = epsilon_mp(pt), 1 - v * v - d * d
         if ref == 0:
             assert eps == 0, p
         else:
             assert abs(eps - ref) <= 1e-30 * abs(ref), p
-        return abs(eps) < bound_mp(p)
+        return abs(eps) < bound_mp(pt)
 
 
 class TestEnvelopeTable:
@@ -100,6 +101,15 @@ class TestEnvelopeTable:
         # a (h1^2 + h2^2) near 5e3 and 1e4: epsilon and bound underflow float64,
         # so the bound is compared in mpmath
         assert _assert_table_matches_reference(p)
+
+    @pytest.mark.parametrize("p", [SetupParams(30.0, 1.0, 2.0, 0.3), SetupParams(2.0, 1.5, 1.5, 2.5)])
+    def test_subset_tables_keep_the_full_tables_bits(self, p):
+        with _mpcore.workdps(p):
+            pt = _mpcore.point(p)
+            full = _envelope_table_mp(pt)
+            assert list(full) == list(OBSERVABLES)
+            for observables in [(obs,) for obs in OBSERVABLES] + [("k1", "k2"), ("k1", "k2", "s+", "s-")]:
+                assert _envelope_table_mp(pt, observables) == {obs: full[obs] for obs in observables}
 
     @pytest.mark.parametrize("h1, h2", [(1.0, 2.0), (0.3, 1.7), (2.0, 2.0)])
     def test_product_state_is_exact(self, h1, h2):
