@@ -53,11 +53,11 @@ def point(params, slits: Optional[Point] = None) -> Point:
         e1, e2 = mpmath.exp(-2 * a * h1 * h1), mpmath.exp(-2 * a * h2 * h2)
     else:
         e1, e2 = slits.e1, slits.e2
+    # cos_sin costs one of cos, sin and gives the same bits as both
     xi = mpmath.mpf(params.xi)
-    two_xi = 2 * xi
-    c2 = mpmath.cos(two_xi)
-    return Point(a, h1, h2, e1, e2, mpmath.cos(xi), mpmath.sin(xi), c2, mpmath.sin(two_xi),
-                 2 / (1 + e1 * e2 + (e1 + e2) * c2))
+    cx, sx = mpmath.cos_sin(xi)
+    c2, s2 = mpmath.cos_sin(2 * xi)
+    return Point(a, h1, h2, e1, e2, cx, sx, c2, s2, 2 / (1 + e1 * e2 + (e1 + e2) * c2))
 
 
 # Single-purpose forms of the record's constants; the tests compare the record against them.

@@ -54,12 +54,13 @@ def test_one_report_evaluates_few_transcendentals(monkeypatch, convention):
     # one report's three scalar families: 85 exp, 22 cos and 22 sin calls before
     # they shared the record and the table evaluated only the observables read
     p = SetupParams(30.0, 1.0, 2.0, 0.3)
-    counts = _count_calls(monkeypatch, mpmath, ("exp", "cos", "sin"))
+    counts = _count_calls(monkeypatch, mpmath, ("exp", "cos", "sin", "cos_sin"))
     visibility_report(p)
     corrected_f(p, convention)
     complementarity_sums(p)
     assert counts["exp"] <= 40, counts
-    assert counts["cos"] <= 10 and counts["sin"] <= 10, counts
+    # a cos_sin call evaluates both
+    assert counts["cos"] + counts["cos_sin"] <= 10 and counts["sin"] + counts["cos_sin"] <= 10, counts
 
 
 @pytest.mark.parametrize("entry", [visibility_report, corrected_f, complementarity_sums])
