@@ -3,9 +3,10 @@
 The quadrature here is the brute-force side of every dual-route check in the
 package: composite Gauss-Legendre panels, refined by doubling the panel count
 until two successive estimates agree within the requested tolerance.  Panel
-widths are chosen from the physics (fastest fringe frequency on wavenumber
-axes, Gaussian peak width on position axes) so the first estimate is already
-resolved and the doubling acts as verification.
+widths are chosen from the physics: the coarsest level resolving half a
+period of the fastest fringe on wavenumber axes and one Gaussian peak width on
+position axes.  The first doubling then both resolves the integral and
+verifies it.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ __all__ = [
 ]
 
 
-# refinement stops (with a QuadratureError) once a doubling would exceed these
+# refinement stops (with a QuadratureError) once a level would exceed these
 # node counts; an unsatisfiable tolerance then fails fast instead of exhausting
 # memory on ever-finer grids
 _MAX_NODES_1D = 1 << 19
@@ -75,6 +76,20 @@ def _require_resolvable_tol(tol: float, estimate: float, kind: str) -> None:
             f"{kind} quadrature cannot converge to tol={tol:g}: it is below the float64 "
             f"resolution of the estimate {estimate:.17g}"
         )
+
+
+def _stopped_at_cap(kind: str, tol: float, levels: int, needed: int, cap: int) -> QuadratureError:
+    return QuadratureError(
+        f"{kind} quadrature did not converge to tol={tol:g}: stopped at the node cap after "
+        f"evaluating {levels} level(s); the next level needs {needed:,} nodes, over the cap of {cap:,}"
+    )
+
+
+def _stopped_at_doublings(kind: str, tol: float, max_doublings: int, nodes: int) -> QuadratureError:
+    return QuadratureError(
+        f"{kind} quadrature did not converge to tol={tol:g} within max_doublings={max_doublings} "
+        f"doublings; the last level had {nodes:,} nodes"
+    )
 
 
 def density_at(params: SetupParams, basis: BasisPair, u, v, phi: float = 0.0) -> np.ndarray:
@@ -147,17 +162,21 @@ def basis_domains(
 def _axis_panels(params: SetupParams, axis: Axis, h: float, lo: float, hi: float) -> int:
     width = hi - lo
     if axis is Axis.WAVENUMBER:
-        # |psi|^2 oscillates like cos(2hk); an eighth of that half-period per
-        # panel keeps per-panel phase below pi/4.
-        panel_width = min(PI / (8.0 * h), math.sqrt(params.a) / 4.0)
+        # |psi|^2 oscillates like cos(2hk) under the e^{-k^2/2a} envelope: a
+        # panel spans at most one half-period pi/(2h) and one envelope std
+        panel_width = min(PI / (2.0 * h), math.sqrt(params.a))
     else:
-        # quarter of the slit-peak standard deviation 1/(2 sqrt(a))
-        panel_width = 1.0 / (8.0 * math.sqrt(params.a))
+        # one slit-peak standard deviation 1/(2 sqrt(a))
+        panel_width = 1.0 / (2.0 * math.sqrt(params.a))
     return max(8, int(math.ceil(width / panel_width)))
 
 
 def basis_panel_hints(params: SetupParams, basis: BasisPair) -> tuple[int, int]:
-    """Initial panel counts resolving the integrand on each axis."""
+    """Initial panel counts: the coarsest level whose first doubling resolves the integrand.
+
+    A panel spans at most half a fringe period on a wavenumber axis and one
+    slit-peak standard deviation on a position axis.
+    """
     (u_lo, u_hi), (v_lo, v_hi) = basis_domains(params, basis)
     pu = _axis_panels(params, basis.first, params.h1, u_lo, u_hi)
     pv = _axis_panels(params, basis.second, params.h2, v_lo, v_hi)
@@ -196,9 +215,9 @@ def integrate_1d(
     _require_positive_tol(tol, "1d")
     panels = max(1, int(min_panels))
     prev: Optional[float] = None
-    for _ in range(max_doublings + 1):
+    for level in range(max_doublings + 1):
         if panels * order > _MAX_NODES_1D:
-            break
+            raise _stopped_at_cap("1d", tol, level, panels * order, _MAX_NODES_1D)
         x, w = gauss_panels(lo, hi, panels, order)
         cur = float(np.asarray(f(x), dtype=float) @ w)
         if prev is not None and abs(cur - prev) <= tol:
@@ -206,9 +225,7 @@ def integrate_1d(
         _require_resolvable_tol(tol, cur, "1d")
         prev = cur
         panels *= 2
-    raise QuadratureError(
-        f"1d quadrature did not converge to tol={tol:g} within {max_doublings} doublings"
-    )
+    raise _stopped_at_doublings("1d", tol, max_doublings, panels // 2 * order)
 
 
 def integrate_1d_batch(
@@ -224,9 +241,9 @@ def integrate_1d_batch(
     _require_positive_tol(tol, "batched 1d")
     panels = max(1, int(min_panels))
     prev: Optional[np.ndarray] = None
-    for _ in range(max_doublings + 1):
+    for level in range(max_doublings + 1):
         if panels * order > _MAX_NODES_1D:
-            break
+            raise _stopped_at_cap("batched 1d", tol, level, panels * order, _MAX_NODES_1D)
         x, w = gauss_panels(lo, hi, panels, order)
         cur = np.asarray(f(x), dtype=float) @ w
         if prev is not None and float(np.max(np.abs(cur - prev))) <= tol:
@@ -234,9 +251,7 @@ def integrate_1d_batch(
         _require_resolvable_tol(tol, float(np.max(np.abs(cur), initial=0.0)), "batched 1d")
         prev = cur
         panels *= 2
-    raise QuadratureError(
-        f"batched 1d quadrature did not converge to tol={tol:g} within {max_doublings} doublings"
-    )
+    raise _stopped_at_doublings("batched 1d", tol, max_doublings, panels // 2 * order)
 
 
 def _eval_2d(
@@ -273,9 +288,9 @@ def quadrature_2d(
     _require_positive_tol(tol, "2d")
     pu, pv = (max(1, int(p)) for p in min_panels)
     prev: Optional[float] = None
-    for _ in range(max_doublings + 1):
+    for level in range(max_doublings + 1):
         if pu * order * pv * order > _MAX_NODES_2D:
-            break
+            raise _stopped_at_cap("2d", tol, level, pu * order * pv * order, _MAX_NODES_2D)
         xu, wu = gauss_panels(*u_bounds, pu, order)
         xv, wv = gauss_panels(*v_bounds, pv, order)
         cur = _eval_2d(f, xu, wu, xv, wv, row_chunk)
@@ -285,9 +300,7 @@ def quadrature_2d(
         prev = cur
         pu *= 2
         pv *= 2
-    raise QuadratureError(
-        f"2d quadrature did not converge to tol={tol:g} within {max_doublings} doublings"
-    )
+    raise _stopped_at_doublings("2d", tol, max_doublings, (pu // 2) * order * (pv // 2) * order)
 
 
 def normalization_mass(params: SetupParams, basis: BasisPair = KK, tol: float = 1e-9) -> float:
