@@ -21,8 +21,9 @@ from pairvis import (
     normalization_mass,
     quadrature_2d,
 )
+from pairvis import density
 from pairvis.corrected import corrected_density
-from pairvis.density import basis_domains, integrate_1d, integrate_1d_batch
+from pairvis.density import basis_domains, basis_panel_hints, gauss_panels, integrate_1d, integrate_1d_batch
 from pairvis.radon import radon_numeric
 from pairvis.state import Axis, psi
 
@@ -85,6 +86,57 @@ class TestIntegrate1d:
             integrate(counted, 1e-300)
         assert 1 <= len(calls) <= 2
 
+    @pytest.mark.parametrize("integrate,integrand,cap,message", [
+        (
+            lambda g: integrate_1d(g, 0.0, 1.0, tol=1e-6, min_panels=50),
+            lambda x: np.full_like(x, x.size),
+            ("_MAX_NODES_1D", 1000),
+            r"^1d .*node cap after evaluating 2 level\(s\); "
+            r"the next level needs 1,200 nodes, over the cap of 1,000$",
+        ),
+        (
+            lambda g: integrate_1d_batch(g, 0.0, 1.0, tol=1e-6, min_panels=50),
+            lambda x: np.full((2, x.size), float(x.size)),
+            ("_MAX_NODES_1D", 1000),
+            r"^batched 1d .*node cap after evaluating 2 level\(s\); "
+            r"the next level needs 1,200 nodes, over the cap of 1,000$",
+        ),
+        (
+            lambda g: quadrature_2d(g, (0.0, 1.0), (0.0, 1.0), tol=1e-6),
+            lambda u, v: np.full(np.broadcast(u, v).shape, float(u.size)),
+            ("_MAX_NODES_2D", 5000),
+            r"^2d .*node cap after evaluating 2 level\(s\); "
+            r"the next level needs 16,384 nodes, over the cap of 5,000$",
+        ),
+    ], ids=["1d", "1d_batch", "2d"])
+    def test_node_cap_names_itself(self, monkeypatch, integrate, integrand, cap, message):
+        # the integrand grows with the node count, so no two levels agree
+        monkeypatch.setattr(density, *cap)
+        with pytest.raises(QuadratureError, match=message):
+            integrate(integrand)
+
+    @pytest.mark.parametrize("integrate,integrand,message", [
+        (
+            lambda g: integrate_1d(g, 0.0, 1.0, tol=1e-6, max_doublings=2),
+            lambda x: np.full_like(x, x.size),
+            r"^1d quadrature did not converge to tol=1e-06 within max_doublings=2 doublings; "
+            r"the last level had 192 nodes$",
+        ),
+        (
+            lambda g: integrate_1d_batch(g, 0.0, 1.0, tol=1e-6, max_doublings=2),
+            lambda x: np.full((2, x.size), float(x.size)),
+            r"^batched 1d .* within max_doublings=2 doublings; the last level had 192 nodes$",
+        ),
+        (
+            lambda g: quadrature_2d(g, (0.0, 1.0), (0.0, 1.0), tol=1e-6, max_doublings=2),
+            lambda u, v: np.full(np.broadcast(u, v).shape, float(u.size)),
+            r"^2d .* within max_doublings=2 doublings; the last level had 16,384 nodes$",
+        ),
+    ], ids=["1d", "1d_batch", "2d"])
+    def test_doubling_limit_names_itself(self, integrate, integrand, message):
+        with pytest.raises(QuadratureError, match=message):
+            integrate(integrand)
+
     def test_batch_matches_scalar(self):
         centers = np.array([-1.0, 0.0, 2.0])
         batch = integrate_1d_batch(
@@ -113,6 +165,88 @@ class TestNormalization:
     def test_unit_mass_at_high_squeezing(self):
         p = SetupParams(50.0, 2.0, 2.0, PI / 4.0)
         assert normalization_mass(p, KK) == pytest.approx(1.0, abs=1e-9)
+
+
+# the bench oracle lattice (a, h1, h2) at two entanglement angles, and the edge
+# points of the robustness test at one
+_ORACLE_POINTS = [
+    SetupParams(a, h1, h2, xi)
+    for a in (2.0, 5.0, 10.0, 30.0)
+    for (h1, h2) in ((1.0, 1.0), (1.0, 2.0))
+    for xi in (0.3, 2.0)
+]
+_EDGE_A = (1e-3, 0.05, 0.5, 100.0, 300.0)
+_EDGE_H = ((0.05, 3.0), (3.0, 3.0), (0.5, 0.5))
+_EDGE_POINTS = [SetupParams(a, h1, h2, 0.7) for a in _EDGE_A for (h1, h2) in _EDGE_H]
+
+
+def _point_id(p):
+    return f"a{p.a:g}-h{p.h1:g},{p.h2:g}-xi{p.xi:g}"
+
+
+def _fixed_level(params, basis, weight, refine):
+    """Mass and weighted moment of one Gauss level at ``refine`` times the panel hints per axis."""
+    (ub, vb), hints = basis_domains(params, basis), basis_panel_hints(params, basis)
+    xu, wu = gauss_panels(*ub, refine * hints[0])
+    xv, wv = gauss_panels(*vb, refine * hints[1])
+    mass = moment = 0.0
+    for i in range(0, len(xv), 256):
+        vs = xv[i : i + 256, None]
+        rows = density_at(params, basis, xu[None, :], vs) * wu
+        mass += float(rows.sum(axis=1) @ wv[i : i + 256])
+        moment += float((rows * weight(xu[None, :], vs)).sum(axis=1) @ wv[i : i + 256])
+    return mass, moment
+
+
+class TestPanelHints:
+    @pytest.mark.parametrize("a", _EDGE_A)
+    @pytest.mark.parametrize("h1,h2", _EDGE_H)
+    @pytest.mark.parametrize("xi", [0.0, 0.7, 2.0])
+    def test_unit_mass_at_domain_edges(self, a, h1, h2, xi):
+        # at a=300, h=(3, 3) a start 4x finer per axis would need a second
+        # level over the 2-D node cap
+        p = SetupParams(a, h1, h2, xi)
+        for basis in (XX, KK, KX, XK):
+            assert abs(normalization_mass(p, basis) - 1.0) <= 1e-8, (p, basis.token)
+
+    @pytest.mark.parametrize("p", _ORACLE_POINTS + _EDGE_POINTS, ids=_point_id)
+    def test_widths_resolve_a_fringe_half_period_and_a_peak_width(self, p):
+        for basis in (XX, KK, KX, XK):
+            hints = basis_panel_hints(p, basis)
+            for axis, h, (lo, hi), panels in zip((basis.first, basis.second), (p.h1, p.h2),
+                                                 basis_domains(p, basis), hints):
+                bound = PI / (2.0 * h) if axis is Axis.WAVENUMBER else 1.0 / (2.0 * math.sqrt(p.a))
+                assert (hi - lo) / panels <= bound, (basis.token, axis)
+
+    @pytest.mark.parametrize("p", _ORACLE_POINTS + _EDGE_POINTS, ids=_point_id)
+    def test_tolerance_holds_against_a_4x_finer_level(self, p):
+        # the converged values agree within tol with one level at 4x the
+        # hints per axis (16x the first level's nodes)
+        tol = 1e-9
+        for basis, weight in ((XX, lambda u, v: u * v), (KK, lambda u, v: u * u)):
+            ref_mass, ref_moment = _fixed_level(p, basis, weight, 4)
+            ub, vb = basis_domains(p, basis)
+            hints = basis_panel_hints(p, basis)
+            mass = quadrature_2d(lambda u, v: density_at(p, basis, u, v), ub, vb, tol=tol, min_panels=hints)
+            moment = quadrature_2d(
+                lambda u, v: weight(u, v) * density_at(p, basis, u, v), ub, vb, tol=tol, min_panels=hints
+            )
+            assert abs(mass - ref_mass) <= tol, (basis.token, mass, ref_mass)
+            assert abs(moment - ref_moment) <= tol, (basis.token, moment, ref_moment)
+
+    def test_normalization_node_count(self, monkeypatch):
+        # the first doubling resolves and verifies: 784,000 nodes here, where
+        # a start 4x finer per axis takes 12,454,560
+        nodes = []
+        eval_2d = density._eval_2d
+
+        def counted(f, xu, wu, xv, wv, row_chunk):
+            nodes.append(len(xu) * len(xv))
+            return eval_2d(f, xu, wu, xv, wv, row_chunk)
+
+        monkeypatch.setattr(density, "_eval_2d", counted)
+        assert normalization_mass(SetupParams(30.0, 1.0, 2.0, 0.3), KK) == pytest.approx(1.0, abs=1e-9)
+        assert sum(nodes) <= 1_000_000
 
 
 class TestDomains:
