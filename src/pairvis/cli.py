@@ -193,15 +193,13 @@ def cmd_validate(args) -> int:
     if args.tol_quad < 0:
         raise ConfigError("--tol-quad must be non-negative")
     results = validation.run_validation(quick=args.quick, tol_quad=args.tol_quad)
-    failed = False
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        failed = failed or not res.passed
-        print(
-            f"{status}  {res.name:<28} max_dev={res.max_deviation:.3e} "
-            f"tol={res.tolerance:.1e} ({res.seconds:.2f}s)"
-        )
-    return 1 if failed else 0
+    lines = [
+        f"{'PASS' if res.passed else 'FAIL'}  {res.name:<28} max_dev={res.max_deviation:.3e} "
+        f"tol={res.tolerance:.1e} ({res.seconds:.2f}s)\n"
+        for res in results
+    ]
+    _write_text(args.out, "".join(lines))
+    return 0 if all(res.passed for res in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,7 +2,9 @@
 
 The quadrature here is the brute-force side of every dual-route check in the
 package: composite Gauss-Legendre panels, refined by doubling the panel count
-until two successive estimates agree within the requested tolerance.  Panel
+until two successive estimates agree within the requested tolerance.  One
+refinement loop, ``_refine``, serves both rules: the batched line rule
+:func:`integrate_1d_batch` and the tensor-product :func:`quadrature_2d`.  Panel
 widths are chosen from the physics: the coarsest level resolving half a
 period of the fastest fringe on wavenumber axes and one Gaussian peak width on
 position axes.  The first doubling then both resolves the integral and
@@ -41,7 +43,6 @@ __all__ = [
     "default_grid",
     "density_at",
     "gauss_panels",
-    "integrate_1d",
     "integrate_1d_batch",
     "normalization_mass",
     "quadrature_2d",
@@ -55,41 +56,14 @@ _MAX_NODES_1D = 1 << 19
 _MAX_NODES_2D = 1 << 28
 # a positive tolerance below this many ulps of the first estimate fails at once
 _RESOLVABLE_ULPS = 4
+# Gauss-Legendre nodes per panel, and the 2-D rule's rows of v per block
+_ORDER_1D = 6
+_ORDER_2D = 4
+_ROW_CHUNK = 512
 
 
 class QuadratureError(RuntimeError):
     """Composite quadrature failed to converge to the requested tolerance."""
-
-
-def _require_positive_tol(tol: float, kind: str) -> None:
-    # two estimates agree within a non-positive (or NaN) tolerance only when
-    # bit-equal, so refinement would run to the node cap before failing
-    if not tol > 0:
-        raise QuadratureError(f"{kind} quadrature cannot converge to tol={tol:g}; it must be positive")
-
-
-def _require_resolvable_tol(tol: float, estimate: float, kind: str) -> None:
-    # two float64 estimates of size |I| cannot be relied on to agree closer
-    # than a few ulps of |I|; below that, refinement would run to the node cap
-    if tol < _RESOLVABLE_ULPS * np.spacing(abs(estimate)):
-        raise QuadratureError(
-            f"{kind} quadrature cannot converge to tol={tol:g}: it is below the float64 "
-            f"resolution of the estimate {estimate:.17g}"
-        )
-
-
-def _stopped_at_cap(kind: str, tol: float, levels: int, needed: int, cap: int) -> QuadratureError:
-    return QuadratureError(
-        f"{kind} quadrature did not converge to tol={tol:g}: stopped at the node cap after "
-        f"evaluating {levels} level(s); the next level needs {needed:,} nodes, over the cap of {cap:,}"
-    )
-
-
-def _stopped_at_doublings(kind: str, tol: float, max_doublings: int, nodes: int) -> QuadratureError:
-    return QuadratureError(
-        f"{kind} quadrature did not converge to tol={tol:g} within max_doublings={max_doublings} "
-        f"doublings; the last level had {nodes:,} nodes"
-    )
 
 
 def density_at(params: SetupParams, basis: BasisPair, u, v, phi: float = 0.0) -> np.ndarray:
@@ -202,30 +176,39 @@ def gauss_panels(lo: float, hi: float, n_panels: int, order: int = 4) -> tuple[n
     return nodes, weights
 
 
-def integrate_1d(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-    min_panels: int = 8,
-    order: int = 6,
-    max_doublings: int = 12,
-) -> float:
-    """Integrate a scalar function, doubling panels until two estimates agree."""
-    _require_positive_tol(tol, "1d")
-    panels = max(1, int(min_panels))
-    prev: Optional[float] = None
+def _refine(kind: str, tol: float, max_doublings: int, cap: int, nodes_at: Callable, estimate_at: Callable):
+    """Double the panels until two successive estimates agree within ``tol``.
+
+    Level n has ``nodes_at(n)`` nodes and the estimate ``estimate_at(n)``, a
+    float or an array that converges on its largest deviation.
+    """
+    # two estimates agree within a non-positive (or NaN) tolerance only when
+    # bit-equal, so refinement would run to the node cap before failing
+    if not tol > 0:
+        raise QuadratureError(f"{kind} quadrature cannot converge to tol={tol:g}; it must be positive")
+    prev = None
     for level in range(max_doublings + 1):
-        if panels * order > _MAX_NODES_1D:
-            raise _stopped_at_cap("1d", tol, level, panels * order, _MAX_NODES_1D)
-        x, w = gauss_panels(lo, hi, panels, order)
-        cur = float(np.asarray(f(x), dtype=float) @ w)
-        if prev is not None and abs(cur - prev) <= tol:
+        if nodes_at(level) > cap:
+            raise QuadratureError(
+                f"{kind} quadrature did not converge to tol={tol:g}: stopped at the node cap after evaluating "
+                f"{level} level(s); the next level needs {nodes_at(level):,} nodes, over the cap of {cap:,}"
+            )
+        cur = estimate_at(level)
+        if prev is not None and float(np.max(np.abs(cur - prev))) <= tol:
             return cur
-        _require_resolvable_tol(tol, cur, "1d")
+        # two float64 estimates of size |I| cannot be relied on to agree closer
+        # than a few ulps of |I|; below that, refinement would run to the node cap
+        largest = float(np.max(np.abs(cur), initial=0.0))
+        if tol < _RESOLVABLE_ULPS * np.spacing(largest):
+            raise QuadratureError(
+                f"{kind} quadrature cannot converge to tol={tol:g}: it is below the float64 "
+                f"resolution of the estimate {largest:.17g}"
+            )
         prev = cur
-        panels *= 2
-    raise _stopped_at_doublings("1d", tol, max_doublings, panels // 2 * order)
+    raise QuadratureError(
+        f"{kind} quadrature did not converge to tol={tol:g} within max_doublings={max_doublings} "
+        f"doublings; the last level had {nodes_at(max_doublings):,} nodes"
+    )
 
 
 def integrate_1d_batch(
@@ -234,24 +217,16 @@ def integrate_1d_batch(
     hi: float,
     tol: float = 1e-10,
     min_panels: int = 8,
-    order: int = 6,
     max_doublings: int = 12,
 ) -> np.ndarray:
-    """Vectorized variant: ``f(x)`` returns shape (..., len(x)); converges on max deviation."""
-    _require_positive_tol(tol, "batched 1d")
+    """Integrate ``f(x)`` of shape (..., len(x)) over x; a scalar integrand gives a 0-d result."""
     panels = max(1, int(min_panels))
-    prev: Optional[np.ndarray] = None
-    for level in range(max_doublings + 1):
-        if panels * order > _MAX_NODES_1D:
-            raise _stopped_at_cap("batched 1d", tol, level, panels * order, _MAX_NODES_1D)
-        x, w = gauss_panels(lo, hi, panels, order)
-        cur = np.asarray(f(x), dtype=float) @ w
-        if prev is not None and float(np.max(np.abs(cur - prev))) <= tol:
-            return cur
-        _require_resolvable_tol(tol, float(np.max(np.abs(cur), initial=0.0)), "batched 1d")
-        prev = cur
-        panels *= 2
-    raise _stopped_at_doublings("batched 1d", tol, max_doublings, panels // 2 * order)
+
+    def estimate_at(level: int) -> np.ndarray:
+        x, w = gauss_panels(lo, hi, panels << level, _ORDER_1D)
+        return np.asarray(f(x), dtype=float) @ w
+
+    return _refine("batched 1d", tol, max_doublings, _MAX_NODES_1D, lambda n: (panels << n) * _ORDER_1D, estimate_at)
 
 
 def _eval_2d(
@@ -260,11 +235,10 @@ def _eval_2d(
     wu: np.ndarray,
     xv: np.ndarray,
     wv: np.ndarray,
-    row_chunk: int,
 ) -> float:
     partials = []
-    for i in range(0, len(xv), row_chunk):
-        vs = xv[i : i + row_chunk]
+    for i in range(0, len(xv), _ROW_CHUNK):
+        vs = xv[i : i + _ROW_CHUNK]
         block = np.asarray(f(xu[None, :], vs[:, None]), dtype=float)
         partials.append(block @ wu)
     return float(np.concatenate(partials) @ wv)
@@ -276,31 +250,23 @@ def quadrature_2d(
     v_bounds: tuple[float, float],
     tol: float = 1e-9,
     min_panels: tuple[int, int] = (8, 8),
-    order: int = 4,
     max_doublings: int = 8,
-    row_chunk: int = 512,
 ) -> float:
     """Double integral over a rectangle by tensor-product composite Gauss-Legendre.
 
     Raises :class:`QuadratureError` if successive refinements never agree
     within ``tol`` -- an explicit oracle failure rather than a silent bad value.
     """
-    _require_positive_tol(tol, "2d")
     pu, pv = (max(1, int(p)) for p in min_panels)
-    prev: Optional[float] = None
-    for level in range(max_doublings + 1):
-        if pu * order * pv * order > _MAX_NODES_2D:
-            raise _stopped_at_cap("2d", tol, level, pu * order * pv * order, _MAX_NODES_2D)
-        xu, wu = gauss_panels(*u_bounds, pu, order)
-        xv, wv = gauss_panels(*v_bounds, pv, order)
-        cur = _eval_2d(f, xu, wu, xv, wv, row_chunk)
-        if prev is not None and abs(cur - prev) <= tol:
-            return cur
-        _require_resolvable_tol(tol, cur, "2d")
-        prev = cur
-        pu *= 2
-        pv *= 2
-    raise _stopped_at_doublings("2d", tol, max_doublings, (pu // 2) * order * (pv // 2) * order)
+
+    def estimate_at(level: int) -> float:
+        xu, wu = gauss_panels(*u_bounds, pu << level, _ORDER_2D)
+        xv, wv = gauss_panels(*v_bounds, pv << level, _ORDER_2D)
+        return _eval_2d(f, xu, wu, xv, wv)
+
+    return _refine(
+        "2d", tol, max_doublings, _MAX_NODES_2D, lambda n: (pu << n) * (pv << n) * _ORDER_2D**2, estimate_at
+    )
 
 
 def normalization_mass(params: SetupParams, basis: BasisPair = KK, tol: float = 1e-9) -> float:

@@ -82,7 +82,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", [
         ["grid", "--a", "4", "--xi", "0.3", "--grid", "8x8"],
         ["report", "--a", "4", "--xi", "0.3"],
-    ], ids=["grid", "report"])
+        ["validate", "--quick", "--xi", "0.3"],
+    ], ids=["grid", "report", "validate"])
     @pytest.mark.parametrize("target", ["missing_dir", "directory"])
     def test_unwritable_out_is_config_error(self, command, target, tmp_path, capsys):
         path = tmp_path / "missing" / "out.txt" if target == "missing_dir" else tmp_path
@@ -292,6 +293,15 @@ class TestValidateCommand:
         assert code == 0
         lines = [row for row in out.strip().split("\n") if row]
         assert lines and all(row.startswith("PASS") for row in lines)
+
+    def test_out_receives_the_lines(self, tmp_path, capsys):
+        path = tmp_path / "validate.txt"
+        code, out, _ = run(["validate", "--quick", "--xi", "0.3", "--out", str(path)], capsys)
+        assert code == 0
+        assert out == ""
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[-1] == "" and len(lines) == 9
+        assert all(row.startswith("PASS") for row in lines[:-1])
 
     def test_injected_fault_fails_nonzero(self, capsys):
         code, out, _ = run(["validate", "--quick", "--xi", "0.3", "--tol-quad", "0"], capsys)

@@ -23,7 +23,7 @@ from pairvis import (
 )
 from pairvis import density
 from pairvis.corrected import corrected_density
-from pairvis.density import basis_domains, basis_panel_hints, gauss_panels, integrate_1d, integrate_1d_batch
+from pairvis.density import basis_domains, basis_panel_hints, gauss_panels, integrate_1d_batch
 from pairvis.radon import radon_numeric
 from pairvis.state import Axis, psi
 
@@ -31,24 +31,26 @@ PI = math.pi
 
 
 class TestIntegrate1d:
+    # a scalar integrand, f(x) of shape (len(x),), integrates to a 0-d result
+
     def test_gaussian_mass(self):
-        val = integrate_1d(lambda x: np.exp(-x * x), -12.0, 12.0, tol=1e-12)
+        val = integrate_1d_batch(lambda x: np.exp(-x * x), -12.0, 12.0, tol=1e-12)
         assert val == pytest.approx(math.sqrt(PI), rel=1e-12)
 
     def test_oscillatory_integrand(self):
         # int_0^pi sin(x) dx = 2, with a rapidly oscillating perturbation that
         # integrates to zero over full periods
-        val = integrate_1d(lambda x: np.sin(x) + np.cos(40.0 * x), 0.0, PI, tol=1e-12)
+        val = integrate_1d_batch(lambda x: np.sin(x) + np.cos(40.0 * x), 0.0, PI, tol=1e-12)
         assert val == pytest.approx(2.0, abs=1e-11)
 
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(QuadratureError):
-            integrate_1d(lambda x: np.exp(-x * x), -12.0, 12.0, tol=0.0, max_doublings=3)
+            integrate_1d_batch(lambda x: np.exp(-x * x), -12.0, 12.0, tol=0.0, max_doublings=3)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
     @pytest.mark.parametrize("integrate", [
-        lambda f, tol: integrate_1d(f, -1.0, 1.0, tol=tol),
         lambda f, tol: integrate_1d_batch(f, -1.0, 1.0, tol=tol),
+        lambda f, tol: integrate_1d_batch(lambda x: np.stack([f(x), f(x)]), -1.0, 1.0, tol=tol),
         lambda f, tol: quadrature_2d(lambda u, v: f(u + v), (-1.0, 1.0), (-1.0, 1.0), tol=tol),
     ], ids=["1d", "1d_batch", "2d"])
     def test_non_positive_tolerance_fails_before_evaluating(self, integrate, tol):
@@ -63,7 +65,7 @@ class TestIntegrate1d:
         assert calls == []
 
     @pytest.mark.parametrize("integrate,integrand", [
-        (lambda g, tol: integrate_1d(g, -6.0, 6.0, tol=tol), lambda x: np.exp(-x * x)),
+        (lambda g, tol: integrate_1d_batch(g, -6.0, 6.0, tol=tol), lambda x: np.exp(-x * x)),
         (
             lambda g, tol: integrate_1d_batch(g, -6.0, 6.0, tol=tol),
             lambda x: np.array([[1.0], [-3.0]]) * np.exp(-x * x),
@@ -88,10 +90,10 @@ class TestIntegrate1d:
 
     @pytest.mark.parametrize("integrate,integrand,cap,message", [
         (
-            lambda g: integrate_1d(g, 0.0, 1.0, tol=1e-6, min_panels=50),
+            lambda g: integrate_1d_batch(g, 0.0, 1.0, tol=1e-6, min_panels=50),
             lambda x: np.full_like(x, x.size),
             ("_MAX_NODES_1D", 1000),
-            r"^1d .*node cap after evaluating 2 level\(s\); "
+            r"^batched 1d .*node cap after evaluating 2 level\(s\); "
             r"the next level needs 1,200 nodes, over the cap of 1,000$",
         ),
         (
@@ -117,9 +119,9 @@ class TestIntegrate1d:
 
     @pytest.mark.parametrize("integrate,integrand,message", [
         (
-            lambda g: integrate_1d(g, 0.0, 1.0, tol=1e-6, max_doublings=2),
+            lambda g: integrate_1d_batch(g, 0.0, 1.0, tol=1e-6, max_doublings=2),
             lambda x: np.full_like(x, x.size),
-            r"^1d quadrature did not converge to tol=1e-06 within max_doublings=2 doublings; "
+            r"^batched 1d quadrature did not converge to tol=1e-06 within max_doublings=2 doublings; "
             r"the last level had 192 nodes$",
         ),
         (
@@ -143,6 +145,14 @@ class TestIntegrate1d:
             lambda x: np.exp(-((centers[:, None] - x[None, :]) ** 2)), -14.0, 14.0, tol=1e-12
         )
         np.testing.assert_allclose(batch, math.sqrt(PI), rtol=1e-12)
+
+    def test_result_types(self):
+        # the 2-D rule returns a Python float; the batch an array of the
+        # integrand's leading shape
+        val = quadrature_2d(lambda u, v: np.exp(-(u * u + v * v)), (-6.0, 6.0), (-6.0, 6.0))
+        assert type(val) is float
+        batch = integrate_1d_batch(lambda x: np.ones((2, 3, x.size)), 0.0, 1.0)
+        assert isinstance(batch, np.ndarray) and batch.shape == (2, 3)
 
 
 class TestQuadrature2d:
@@ -240,9 +250,9 @@ class TestPanelHints:
         nodes = []
         eval_2d = density._eval_2d
 
-        def counted(f, xu, wu, xv, wv, row_chunk):
+        def counted(f, xu, wu, xv, wv):
             nodes.append(len(xu) * len(xv))
-            return eval_2d(f, xu, wu, xv, wv, row_chunk)
+            return eval_2d(f, xu, wu, xv, wv)
 
         monkeypatch.setattr(density, "_eval_2d", counted)
         assert normalization_mass(SetupParams(30.0, 1.0, 2.0, 0.3), KK) == pytest.approx(1.0, abs=1e-9)
