@@ -194,11 +194,11 @@ def _refine(kind: str, tol: float, max_doublings: int, cap: int, nodes_at: Calla
                 f"{level} level(s); the next level needs {nodes_at(level):,} nodes, over the cap of {cap:,}"
             )
         cur = estimate_at(level)
-        if prev is not None and float(np.max(np.abs(cur - prev))) <= tol:
+        if prev is not None and float(np.abs(cur - prev).max()) <= tol:
             return cur
         # two float64 estimates of size |I| cannot be relied on to agree closer
         # than a few ulps of |I|; below that, refinement would run to the node cap
-        largest = float(np.max(np.abs(cur), initial=0.0))
+        largest = float(np.abs(cur).max(initial=0.0))
         if tol < _RESOLVABLE_ULPS * np.spacing(largest):
             raise QuadratureError(
                 f"{kind} quadrature cannot converge to tol={tol:g}: it is below the float64 "
