@@ -194,7 +194,7 @@ def _refine(kind: str, tol: float, max_doublings: int, cap: int, nodes_at: Calla
                 f"{level} level(s); the next level needs {nodes_at(level):,} nodes, over the cap of {cap:,}"
             )
         cur = estimate_at(level)
-        if prev is not None and float(np.abs(cur - prev).max()) <= tol:
+        if prev is not None and float(np.abs(cur - prev).max(initial=0.0)) <= tol:
             return cur
         # two float64 estimates of size |I| cannot be relied on to agree closer
         # than a few ulps of |I|; below that, refinement would run to the node cap

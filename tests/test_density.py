@@ -148,11 +148,12 @@ class TestIntegrate1d:
 
     def test_result_types(self):
         # the 2-D rule returns a Python float; the batch an array of the
-        # integrand's leading shape
+        # integrand's leading shape, also an empty one (radon_numeric of no s)
         val = quadrature_2d(lambda u, v: np.exp(-(u * u + v * v)), (-6.0, 6.0), (-6.0, 6.0))
         assert type(val) is float
-        batch = integrate_1d_batch(lambda x: np.ones((2, 3, x.size)), 0.0, 1.0)
-        assert isinstance(batch, np.ndarray) and batch.shape == (2, 3)
+        for shape in ((2, 3), (0,)):
+            batch = integrate_1d_batch(lambda x: np.ones(shape + x.shape), 0.0, 1.0)
+            assert isinstance(batch, np.ndarray) and batch.shape == shape
 
 
 class TestQuadrature2d:
