@@ -67,6 +67,8 @@ _SWEEP_FIGURES = {
     "fig4": {"h1": 1.0, "h2": 1.0, "start": 2.0, "stop": 8.0, "count": 121},
     "fig7": {"h1": 1.0, "h2": 1.0, "start": 2.0, "stop": 8.0, "count": 121},
 }
+# the sweep's columns: its CSV header and the keys of each JSON row
+_SWEEP_COLUMNS = ("a", "V2_plus_D2", "V2_plus_F2", "V2_plus_R2", "bound")
 
 
 def _fmt(x: float) -> str:
@@ -170,21 +172,12 @@ def cmd_sweep(args) -> int:
         rep = visibility.visibility_report(params)
         corr = corrected.corrected_f(params, convention=args.convention)
         comp = correlation.complementarity_sums(params)
-        rows.append(
-            {
-                "a": params.a,
-                "V2_plus_D2": rep.V * rep.V + rep.D * rep.D,
-                "V2_plus_F2": rep.V * rep.V + corr.F * corr.F,
-                "V2_plus_R2": comp.V2_plus_R2,
-                "bound": rep.bound,
-            }
-        )
+        rows.append((params.a, rep.V * rep.V + rep.D * rep.D, rep.V * rep.V + corr.F * corr.F,
+                     comp.V2_plus_R2, rep.bound))
     if args.format == "json":
-        _write_text(args.out, json.dumps(rows) + "\n")
+        _write_text(args.out, json.dumps([dict(zip(_SWEEP_COLUMNS, row)) for row in rows]) + "\n")
     else:
-        lines = ["a,V2_plus_D2,V2_plus_F2,V2_plus_R2,bound"]
-        for row in rows:
-            lines.append(",".join(_fmt(row[k]) for k in ("a", "V2_plus_D2", "V2_plus_F2", "V2_plus_R2", "bound")))
+        lines = [",".join(_SWEEP_COLUMNS)] + [",".join(map(_fmt, row)) for row in rows]
         _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

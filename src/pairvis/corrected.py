@@ -31,7 +31,7 @@ import numpy as np
 from . import _mpcore
 from .density import density_at
 from .radon import marginal_k1, marginal_k2
-from .state import KK, PI, SetupParams, _slits_equal, normalization_b2
+from .state import KK, PI, Report, SetupParams, _slits_equal, normalization_b2
 
 __all__ = [
     "CorrectedReport",
@@ -159,30 +159,20 @@ def corrected_envelopes(
 
 
 @dataclass(frozen=True)
-class CorrectedReport:
+class CorrectedReport(Report):
     """Indirect-method scalars; ``F`` is the best corrected-slice contrast."""
 
-    params: SetupParams
+    F: float
     v_splus: float
     v_sminus: float
-    F: float
     equality_mode: bool
     convention: str
-    pin_s: float  # first pin point of the dominant phase (envelope touch location)
 
-    def to_dict(self) -> dict:
-        p = self.params
-        return {
-            "a": p.a,
-            "h1": p.h1,
-            "h2": p.h2,
-            "xi": p.xi,
-            "F": self.F,
-            "v_splus": self.v_splus,
-            "v_sminus": self.v_sminus,
-            "equality_mode": self.equality_mode,
-            "convention": self.convention,
-        }
+    @property
+    def pin_s(self) -> float:
+        """First pin point of the dominant phase (envelope touch location)."""
+        h1, h2 = self.params.h1, self.params.h2
+        return (PI / 4.0) * math.sqrt(h1 ** 2 + h2 ** 2) / max(h1, h2) ** 2
 
 
 def _corrected_vis_mp(params: SetupParams, pt: _mpcore.Point, convention: str) -> tuple:
@@ -203,17 +193,13 @@ def corrected_f(params: SetupParams, convention: str = "b4_xi") -> CorrectedRepo
     with _mpcore.workdps():
         vp, vm = _corrected_vis_mp(params, _mpcore.point(params), convention)
         vp_f, vm_f, f_f = float(vp), float(vm), float(max(vp, vm))
-    hh_max = max(params.h1, params.h2) ** 2
-    rh = math.sqrt(params.h1 ** 2 + params.h2 ** 2)
-    pin_s = (PI / 4.0) * rh / hh_max
     return CorrectedReport(
         params=params,
+        F=f_f,
         v_splus=vp_f,
         v_sminus=vm_f,
-        F=f_f,
         equality_mode=_slits_equal(params),
         convention=convention,
-        pin_s=pin_s,
     )
 
 

@@ -20,7 +20,7 @@ import mpmath
 import numpy as np
 
 from . import _mpcore
-from .state import PI, Axis, SetupParams, normalization_b2
+from .state import PI, Axis, Report, SetupParams, normalization_b2
 from .visibility import single_particle_v_mp
 
 __all__ = [
@@ -180,10 +180,9 @@ def practicality_diagnostic(params: SetupParams, floor: float = 1e-15) -> Practi
 
 
 @dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(Report):
     """Correlation measures plus the four complementarity sums."""
 
-    params: SetupParams
     rho_x: float
     rho_k_log10_abs: Optional[float]
     rho_k_sign: int
@@ -194,25 +193,6 @@ class CorrelationReport:
     rhox2_plus_V2: float
     rhok2_plus_V2: float
     detectability_flag: bool
-
-    def to_dict(self) -> dict:
-        p = self.params
-        return {
-            "a": p.a,
-            "h1": p.h1,
-            "h2": p.h2,
-            "xi": p.xi,
-            "rho_x": self.rho_x,
-            "rho_k_log10_abs": self.rho_k_log10_abs,
-            "rho_k_sign": self.rho_k_sign,
-            "R": self.R,
-            "S": self.S,
-            "V2_plus_R2": self.V2_plus_R2,
-            "V2_plus_S2": self.V2_plus_S2,
-            "rhox2_plus_V2": self.rhox2_plus_V2,
-            "rhok2_plus_V2": self.rhok2_plus_V2,
-            "detectability_flag": self.detectability_flag,
-        }
 
 
 def complementarity_sums(params: SetupParams, floor: float = 1e-15) -> CorrelationReport:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -354,23 +354,10 @@ class Density2D:
         return "".join(rows)
 
     def to_json_dict(self) -> dict:
-        g = self.grid
         return {
-            "grid": {
-                "u_min": g.u_min,
-                "u_max": g.u_max,
-                "v_min": g.v_min,
-                "v_max": g.v_max,
-                "n_u": g.n_u,
-                "n_v": g.n_v,
-            },
+            "grid": asdict(self.grid),
             "basis": self.basis.token,
-            "params": {
-                "a": self.params.a,
-                "h1": self.params.h1,
-                "h2": self.params.h2,
-                "xi": self.params.xi,
-            },
+            "params": asdict(self.params),
             "values": self.values.tolist(),
         }
 

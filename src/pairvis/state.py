@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "Axis",
     "BasisPair",
     "ParameterDomainError",
+    "Report",
     "SecondSlitRescaling",
     "SetupParams",
     "UnsupportedBasisError",
@@ -133,6 +134,19 @@ class SetupParams:
 
     def with_xi(self, xi: float) -> "SetupParams":
         return SetupParams(self.a, self.h1, self.h2, xi)
+
+
+@dataclass(frozen=True)
+class Report:
+    """Scalars evaluated at one parameter set; subclasses declare them as fields after ``params``."""
+
+    params: SetupParams
+
+    def to_dict(self) -> dict:
+        """``a, h1, h2, xi``, then every field after ``params`` in declaration order."""
+        out = asdict(self.params)
+        out.update((f.name, getattr(self, f.name)) for f in fields(self)[1:])
+        return out
 
 
 def normalization_b2(params: SetupParams) -> float:

@@ -211,7 +211,7 @@ def _corrected_identity_dev(params_list: Iterable[SetupParams]) -> float:
 
 
 def _subset(lattice: list[SetupParams], quick: bool) -> list[SetupParams]:
-    """Points for the quadrature checks: the whole quick lattice, every 11th point of the full one.
+    """Points for the sampled checks: the whole quick lattice, every 11th point of the full one.
 
     The full lattice cycles xi with period 6; a stride coprime to 6 visits every xi.
     """
@@ -222,7 +222,7 @@ def run_validation(quick: bool = False, tol_quad: float = 1e-9) -> list[CheckRes
     lattice = _lattice(quick)
     small = _subset(lattice, quick)
     return [
-        _check("normalization_all_bases", 1e-8, lambda: _normalization_dev(small if quick else lattice, tol_quad)),
+        _check("normalization_all_bases", 1e-8, lambda: _normalization_dev(lattice, tol_quad)),
         _check("decomposition_residual", 1e-12, lambda: _decomposition_dev(small)),
         _check("radon_closed_vs_numeric", 1e-8, lambda: _radon_dev(small, min(tol_quad, 1e-10))),
         _check("moment_quadrature", 1e-8, lambda: _moment_dev(small, tol_quad)),

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _mpcore
 from .radon import OBSERVABLES, RadonAngle, _marginal_brace, marginal_at
-from .state import PI, SetupParams, _line_frequencies, _slits_equal, normalization_b2
+from .state import PI, Report, SetupParams, _line_frequencies, _slits_equal, normalization_b2
 
 __all__ = [
     "EnvelopeSet",
@@ -158,8 +158,12 @@ def single_particle_v(params: SetupParams) -> float:
 
 
 def two_particle_w(params: SetupParams) -> float:
-    """Conditional two-particle visibility W = |V(k+) - V(k-)|."""
-    with _mpcore.workdps():
+    """Conditional two-particle visibility W = |V(k+) - V(k-)|.
+
+    Both contrasts approach 1 deep in the narrow-slit regime, so the difference
+    needs the adaptive precision of :func:`visibility_report`.
+    """
+    with _mpcore.workdps(params):
         return float(_measures_mp(_mpcore.point(params), _MEASURES["W"])["W"])
 
 
@@ -239,10 +243,9 @@ def numeric_visibility(params: SetupParams, observable: str, n: int = 16001) -> 
 
 
 @dataclass(frozen=True)
-class VisibilityReport:
+class VisibilityReport(Report):
     """All direct-method scalars for one parameter set."""
 
-    params: SetupParams
     v_k1: float
     v_k2: float
     v_kplus: float
@@ -255,27 +258,6 @@ class VisibilityReport:
     epsilon: float
     bound: float
     regime_warning: bool
-
-    def to_dict(self) -> dict:
-        p = self.params
-        return {
-            "a": p.a,
-            "h1": p.h1,
-            "h2": p.h2,
-            "xi": p.xi,
-            "v_k1": self.v_k1,
-            "v_k2": self.v_k2,
-            "v_kplus": self.v_kplus,
-            "v_kminus": self.v_kminus,
-            "v_splus": self.v_splus,
-            "v_sminus": self.v_sminus,
-            "V": self.V,
-            "W": self.W,
-            "D": self.D,
-            "epsilon": self.epsilon,
-            "bound": self.bound,
-            "regime_warning": self.regime_warning,
-        }
 
 
 def visibility_report(params: SetupParams) -> VisibilityReport:

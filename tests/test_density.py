@@ -348,6 +348,9 @@ class TestDensity2D:
         assert payload["grid"]["n_u"] == 4 and payload["grid"]["n_v"] == 6
         assert payload["params"]["h2"] == 2.0
         assert np.asarray(payload["values"]).shape == (4, 6)
+        assert list(payload) == ["grid", "basis", "params", "values"]
+        assert list(payload["grid"]) == ["u_min", "u_max", "v_min", "v_max", "n_u", "n_v"]
+        assert list(payload["params"]) == ["a", "h1", "h2", "xi"]
 
     def test_custom_field_function_hook(self):
         p = SetupParams(4.0, 1.0, 1.0, 0.3)

@@ -208,6 +208,21 @@ class TestScalarMeasures:
         p = SetupParams(a, h, h, xi)
         assert abs(two_particle_d(p) - two_particle_w(p)) <= 1e-15
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            SetupParams(600.0, 1.0, 2.0, 0.3),
+            SetupParams(100.0, 1.0, 2.0, 1.0),
+            SetupParams(30.0, 1.0, 2.0, 0.3),
+            SetupParams(12.0, 0.7, 2.4, 2.0),
+            SetupParams(2.0, 1.5, 1.2, 1.2),
+        ],
+    )
+    def test_w_matches_the_report(self, p):
+        # W is the gap between two contrasts that both approach 1, so at a fixed
+        # 50 digits it cancels to noise at deep points (0.0 at a = 600)
+        assert two_particle_w(p) == visibility_report(p).W
+
 
 class TestComplementarityBound:
     @given(st.floats(2.0, 40.0), st.floats(1.0, 3.0), st.floats(1.0, 3.0), st.floats(0.0, PI))
