@@ -14,9 +14,6 @@ from .correlation import (
     marginal_k1_mixed,
     moments_k,
     moments_x,
-    normalized_r,
-    normalized_s,
-    practicality_diagnostic,
 )
 from .density import (
     Density2D,
@@ -62,10 +59,6 @@ from .visibility import (
     envelopes_for,
     epsilon_and_bound,
     numeric_visibility,
-    single_particle_v,
-    two_particle_d,
-    two_particle_w,
-    visibility_of,
     visibility_report,
 )
 

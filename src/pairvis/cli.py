@@ -202,13 +202,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_out(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--out", type=str, default=None, help="output path ('-' or omitted: stdout)")
+
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--a", type=float, default=30.0, help="squeezing parameter a = 1/(4 sigma^2)")
         p.add_argument("--h1", type=float, default=1.0, help="first slit half-separation")
         p.add_argument("--h2", type=float, default=1.0, help="second slit half-separation")
         p.add_argument("--xi", type=str, default=None, help="entanglement angle (e.g. 0.3, pi/8, 3pi/8)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", type=str, default=None, help="output path ('-' or omitted: stdout)")
+        add_out(p)
         p.add_argument("--threads", type=int, default=1, help="worker hint; results are identical for any value")
         p.add_argument(
             "--convention",
@@ -235,10 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--sweep-stop", type=float, default=8.0)
     p_sweep.add_argument("--sweep-count", type=int, default=121)
 
+    # validate runs a fixed suite of checks, so it takes none of the common options but --out
     p_val = sub.add_parser("validate", help="run the built-in self checks")
-    add_common(p_val)
     p_val.add_argument("--quick", action="store_true", help="reduced lattice, a few seconds")
     p_val.add_argument("--tol-quad", dest="tol_quad", type=float, default=1e-9, help="quadrature tolerance")
+    add_out(p_val)
 
     return parser
 

@@ -26,18 +26,14 @@ from .visibility import single_particle_v_mp
 __all__ = [
     "CorrelationReport",
     "MomentSet",
-    "PracticalityDiagnostic",
     "complementarity_sums",
     "marginal_k1_mixed",
     "moments_k",
     "moments_x",
-    "normalized_r",
-    "normalized_s",
-    "practicality_diagnostic",
-    "rho_k_log10_abs",
-    "rho_k_sign",
-    "rho_x",
 ]
+
+# |rho_k| at xi = pi/4 below this is taken as experimentally undetectable
+DETECTABILITY_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,8 @@ def moments_x(params: SetupParams) -> MomentSet:
 def moments_k(params: SetupParams) -> MomentSet:
     """Wavenumber moments; note ``cov`` may underflow to 0.0 as a float.
 
-    Use :func:`rho_k_log10_abs` / :func:`rho_k_sign` for the magnitude.
+    The ``rho_k_log10_abs`` and ``rho_k_sign`` fields of :func:`complementarity_sums`
+    carry the correlation's magnitude and sign.
     """
     with _mpcore.workdps():
         cov, var1, var2 = _moments_k_mp(_mpcore.point(params))
@@ -99,43 +96,6 @@ def _correlations_mp(params: SetupParams, pt: _mpcore.Point) -> tuple:
     rx, rk = _rho_mp(_moments_x_mp(pt)), _rho_mp(_moments_k_mp(pt))
     rx_ref, rk_ref = _rho_mp(_moments_x_mp(ref)), _rho_mp(_moments_k_mp(ref))
     return rx, rk, abs(rx) / abs(rx_ref), abs(rk) / abs(rk_ref), rk_ref
-
-
-def _log10_abs(rho) -> Optional[float]:
-    return None if rho == 0 else float(mpmath.log10(abs(rho)))
-
-
-def rho_x(params: SetupParams) -> float:
-    with _mpcore.workdps():
-        return float(_rho_mp(_moments_x_mp(_mpcore.point(params))))
-
-
-def rho_k_log10_abs(params: SetupParams) -> Optional[float]:
-    """log10 |rho(k1,k2)|, or None when the correlation is exactly zero.
-
-    This is the log of the correlation coefficient itself, not of its square
-    rho_k^2; the ``rho_k_log10_abs`` field of :class:`CorrelationReport` (and
-    of ``report`` output) is the same quantity.
-    """
-    with _mpcore.workdps():
-        return _log10_abs(_rho_mp(_moments_k_mp(_mpcore.point(params))))
-
-
-def rho_k_sign(params: SetupParams) -> int:
-    with _mpcore.workdps():
-        return int(mpmath.sign(_rho_mp(_moments_k_mp(_mpcore.point(params)))))
-
-
-def normalized_r(params: SetupParams) -> float:
-    """Position correlation normalized to the maximally entangled angle."""
-    with _mpcore.workdps():
-        return float(_correlations_mp(params, _mpcore.point(params))[2])
-
-
-def normalized_s(params: SetupParams) -> float:
-    """Wavenumber correlation normalized to the maximally entangled angle."""
-    with _mpcore.workdps():
-        return float(_correlations_mp(params, _mpcore.point(params))[3])
 
 
 def marginal_k1_mixed(params: SetupParams, k1) -> np.ndarray:
@@ -160,28 +120,15 @@ def marginal_k1_mixed(params: SetupParams, k1) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PracticalityDiagnostic:
-    """Whether the wavenumber correlation is experimentally detectable at all."""
-
-    rho_k_pi4_log10_abs: Optional[float]
-    floor: float
-    flagged: bool
-
-
-def practicality_diagnostic(params: SetupParams, floor: float = 1e-15) -> PracticalityDiagnostic:
-    """Flag parameter sets whose |rho_k| at xi = pi/4 falls below ``floor``."""
-    if floor < 0:
-        raise ValueError("floor must be non-negative")
-    with _mpcore.workdps():
-        mag = abs(_rho_mp(_moments_k_mp(_mpcore.point(params.with_xi(PI / 4.0)))))
-        log10_abs = _log10_abs(mag)
-        flagged = bool(mag < floor)
-    return PracticalityDiagnostic(rho_k_pi4_log10_abs=log10_abs, floor=floor, flagged=flagged)
-
-
-@dataclass(frozen=True)
 class CorrelationReport(Report):
-    """Correlation measures plus the four complementarity sums."""
+    """Correlation measures plus the four complementarity sums.
+
+    ``rho_k_log10_abs`` is log10 |rho(k1,k2)|, the log of the correlation
+    coefficient itself, not of its square rho_k^2; it is None when rho_k is
+    exactly zero, and ``rho_k_sign`` carries the sign.  ``detectability_flag``
+    is set when |rho_k| at the maximally entangled xi = pi/4 falls below
+    :data:`DETECTABILITY_FLOOR`.
+    """
 
     rho_x: float
     rho_k_log10_abs: Optional[float]
@@ -195,7 +142,7 @@ class CorrelationReport(Report):
     detectability_flag: bool
 
 
-def complementarity_sums(params: SetupParams, floor: float = 1e-15) -> CorrelationReport:
+def complementarity_sums(params: SetupParams) -> CorrelationReport:
     """Evaluate V^2 + R^2, V^2 + S^2, rho_x^2 + V^2 and rho_k^2 + V^2.
 
     The sums approach 1 (or cos^2 2xi for the unnormalized rho_k sum) with
@@ -207,10 +154,10 @@ def complementarity_sums(params: SetupParams, floor: float = 1e-15) -> Correlati
         pt = _mpcore.point(params)
         v = single_particle_v_mp(pt)
         rx, rk, r, s, rk_ref = _correlations_mp(params, pt)
-        report = CorrelationReport(
+        return CorrelationReport(
             params=params,
             rho_x=float(rx),
-            rho_k_log10_abs=_log10_abs(rk),
+            rho_k_log10_abs=None if rk == 0 else float(mpmath.log10(abs(rk))),
             rho_k_sign=int(mpmath.sign(rk)),
             R=float(r),
             S=float(s),
@@ -218,6 +165,5 @@ def complementarity_sums(params: SetupParams, floor: float = 1e-15) -> Correlati
             V2_plus_S2=float(v * v + s * s),
             rhox2_plus_V2=float(rx * rx + v * v),
             rhok2_plus_V2=float(rk * rk + v * v),
-            detectability_flag=bool(abs(rk_ref) < floor),
+            detectability_flag=bool(abs(rk_ref) < DETECTABILITY_FLOOR),
         )
-    return report

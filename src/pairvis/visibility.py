@@ -19,7 +19,7 @@ once to float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import mpmath
@@ -37,10 +37,6 @@ __all__ = [
     "envelopes_for",
     "epsilon_and_bound",
     "numeric_visibility",
-    "single_particle_v",
-    "two_particle_d",
-    "two_particle_w",
-    "visibility_of",
     "visibility_report",
 ]
 
@@ -98,16 +94,13 @@ class EnvelopeSet:
     observable: str
     env_minus: Callable[[np.ndarray], np.ndarray]
     env_plus: Callable[[np.ndarray], np.ndarray]
-    _lower: object = field(repr=False, default=None)
-    _upper: object = field(repr=False, default=None)
 
 
 def envelopes_for(params: SetupParams, observable: str) -> EnvelopeSet:
     if observable not in _PINS:
         raise ValueError(f"unknown observable {observable!r}; expected one of {OBSERVABLES}")
     with _mpcore.workdps():
-        lower, upper = _envelope_table_mp(_mpcore.point(params), (observable,))[observable]
-        lo_f, up_f = float(lower), float(upper)
+        lo_f, up_f = map(float, _envelope_table_mp(_mpcore.point(params), (observable,))[observable])
     a = params.a
     b2 = normalization_b2(params)
     norm = b2 / math.sqrt(2.0 * a * PI)
@@ -119,19 +112,11 @@ def envelopes_for(params: SetupParams, observable: str) -> EnvelopeSet:
         observable=observable,
         env_minus=lambda s: _pref(s) * lo_f,
         env_plus=lambda s: _pref(s) * up_f,
-        _lower=lower,
-        _upper=upper,
     )
 
 
 def _contrast(lower, upper):
     return abs(upper - lower) / (upper + lower)
-
-
-def visibility_of(env: EnvelopeSet) -> float:
-    """Michelson contrast |env+ - env-| / (env+ + env-), from the brace constants."""
-    with _mpcore.workdps():
-        return float(_contrast(env._lower, env._upper))
 
 
 # The pair of observables behind each measure: V is the larger contrast, W and D the gap.
@@ -149,28 +134,6 @@ def _measures_mp(pt: _mpcore.Point, observables=OBSERVABLES) -> dict:
 
 def single_particle_v_mp(pt: _mpcore.Point):
     return _measures_mp(pt, _MEASURES["V"])["V"]
-
-
-def single_particle_v(params: SetupParams) -> float:
-    """Best single-particle visibility V = max(V(k1), V(k2))."""
-    with _mpcore.workdps():
-        return float(single_particle_v_mp(_mpcore.point(params)))
-
-
-def two_particle_w(params: SetupParams) -> float:
-    """Conditional two-particle visibility W = |V(k+) - V(k-)|.
-
-    Both contrasts approach 1 deep in the narrow-slit regime, so the difference
-    needs the adaptive precision of :func:`visibility_report`.
-    """
-    with _mpcore.workdps(params):
-        return float(_measures_mp(_mpcore.point(params), _MEASURES["W"])["W"])
-
-
-def two_particle_d(params: SetupParams) -> float:
-    """Distributed two-particle visibility D = |V(s+) - V(s-)|."""
-    with _mpcore.workdps():
-        return float(_measures_mp(_mpcore.point(params), _MEASURES["D"])["D"])
 
 
 def _epsilon(vis: dict):

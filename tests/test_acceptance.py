@@ -37,9 +37,7 @@ from pairvis import (
     moments_x,
     normalization_mass,
     radon_numeric,
-    single_particle_v,
-    two_particle_d,
-    two_particle_w,
+    visibility_report,
 )
 from pairvis import _mpcore, corrected, correlation, visibility
 from pairvis.cli import main as cli_main
@@ -146,12 +144,8 @@ def test_criterion_04_exact_anchors():
     for a in A_VALUES:
         for (h1, h2) in H_VALUES:
             p = SetupParams(a, h1, h2, 0.3)
-            worst = max(
-                worst,
-                abs(two_particle_d(p.with_xi(PI / 4.0)) - 1.0),
-                abs(two_particle_d(p.with_xi(0.0))),
-                abs(single_particle_v(p.with_xi(0.0)) - 1.0),
-            )
+            entangled, separable = visibility_report(p.with_xi(PI / 4.0)), visibility_report(p.with_xi(0.0))
+            worst = max(worst, abs(entangled.D - 1.0), abs(separable.D), abs(separable.V - 1.0))
     ok = worst <= 1e-15
     _verdict(4, ok, f"max anchor deviation = {worst:.2e}")
     assert worst <= 1e-15
@@ -161,7 +155,8 @@ def test_criterion_05_symmetric_reduction():
     worst = 0.0
     for p in LATTICE:
         if p.h1 == p.h2:
-            worst = max(worst, abs(two_particle_d(p) - two_particle_w(p)))
+            rep = visibility_report(p)
+            worst = max(worst, abs(rep.D - rep.W))
     ok = worst <= 1e-15
     _verdict(5, ok, f"max |D - W| at h1 = h2: {worst:.2e}")
     assert worst <= 1e-15
@@ -226,13 +221,14 @@ def test_criterion_08_wavenumber_correlation_magnitude():
     # the quoted 3e-32 (within a factor of 2) is the squared coefficient
     # rho_k^2, so the window applies to rho_k^2, not to |rho_k| = 1.7e-16
     p = SetupParams(10.0, 1.0, 1.0, PI / 4.0)
-    log_rho = correlation.rho_k_log10_abs(p)
+    sums = correlation.complementarity_sums(p)
+    log_rho = sums.rho_k_log10_abs
     rho_abs = 10.0 ** log_rho
     rho_sq = 10.0 ** (2.0 * log_rho)
     # leading order |rho_k| = 4 a h1 h2 e^{-2a(h1^2+h2^2)}; the corrections
     # are O(e^{-40}) relative, far below the 1e-12 tolerance
     leading = 4.0 * p.a * p.h1 * p.h2 * math.exp(-2.0 * p.a * (p.h1**2 + p.h2**2))
-    sign = correlation.rho_k_sign(p)
+    sign = sums.rho_k_sign
     square_ok = 1.5e-32 <= rho_sq <= 6.0e-32
     leading_ok = math.isclose(rho_abs, leading, rel_tol=1e-12)
     ok = square_ok and leading_ok and sign == -1

@@ -76,13 +76,13 @@ class TestExitCodes:
         assert code == 2
 
     def test_negative_quad_tolerance_is_config_error(self, capsys):
-        code, _, _ = run(["validate", "--xi", "0.3", "--tol-quad", "-1"], capsys)
+        code, _, _ = run(["validate", "--tol-quad", "-1"], capsys)
         assert code == 2
 
     @pytest.mark.parametrize("command", [
         ["grid", "--a", "4", "--xi", "0.3", "--grid", "8x8"],
         ["report", "--a", "4", "--xi", "0.3"],
-        ["validate", "--quick", "--xi", "0.3"],
+        ["validate", "--quick"],
     ], ids=["grid", "report", "validate"])
     @pytest.mark.parametrize("target", ["missing_dir", "directory"])
     def test_unwritable_out_is_config_error(self, command, target, tmp_path, capsys):
@@ -109,6 +109,19 @@ class TestExitCodes:
             main(command + ["--tol-quad", "1e-9"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --tol-quad" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", [
+        ["--format", "json"],
+        ["--a", "5"],
+        ["--convention", "b4_pi4"],
+        ["--threads", "2"],
+    ], ids=lambda option: option[0])
+    def test_validate_rejects_options_it_does_not_read(self, option, capsys):
+        # validate runs a fixed suite; an option it would ignore is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--quick"] + option)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
 class TestGridCommand:
@@ -289,14 +302,14 @@ class TestDeterminism:
 
 class TestValidateCommand:
     def test_quick_suite_passes(self, capsys):
-        code, out, _ = run(["validate", "--quick", "--xi", "0.3"], capsys)
+        code, out, _ = run(["validate", "--quick"], capsys)
         assert code == 0
         lines = [row for row in out.strip().split("\n") if row]
         assert lines and all(row.startswith("PASS") for row in lines)
 
     def test_out_receives_the_lines(self, tmp_path, capsys):
         path = tmp_path / "validate.txt"
-        code, out, _ = run(["validate", "--quick", "--xi", "0.3", "--out", str(path)], capsys)
+        code, out, _ = run(["validate", "--quick", "--out", str(path)], capsys)
         assert code == 0
         assert out == ""
         lines = path.read_text(encoding="utf-8").split("\n")
@@ -304,6 +317,6 @@ class TestValidateCommand:
         assert all(row.startswith("PASS") for row in lines[:-1])
 
     def test_injected_fault_fails_nonzero(self, capsys):
-        code, out, _ = run(["validate", "--quick", "--xi", "0.3", "--tol-quad", "0"], capsys)
+        code, out, _ = run(["validate", "--quick", "--tol-quad", "0"], capsys)
         assert code == 1
         assert any(row.startswith("FAIL") for row in out.strip().split("\n"))

@@ -15,7 +15,7 @@ from pairvis import (
     corrected_f,
     corrected_slice_spm,
     density_at,
-    single_particle_v,
+    visibility_report,
 )
 from pairvis import _mpcore
 from pairvis.corrected import _added_b4_mp, _pinned_constants_mp, slice_envelope_crossover
@@ -184,11 +184,11 @@ class TestVisibilityF:
     def test_sum_rule_fails_for_equal_slits_but_holds_for_unequal(self):
         # equal slits: V^2 + F^2 stays visibly below 1 even at high squeezing
         p_eq = SetupParams(8.0, 1.0, 1.0, 0.3)
-        v = single_particle_v(p_eq)
+        v = visibility_report(p_eq).V
         assert v * v + corrected_f(p_eq).F ** 2 < 1.0 - 1e-3
         # unequal slits: the sum converges to 1
         p_uneq = SetupParams(50.0, 1.0, 2.0, 0.7)
-        v = single_particle_v(p_uneq)
+        v = visibility_report(p_uneq).V
         assert v * v + corrected_f(p_uneq).F ** 2 == pytest.approx(1.0, abs=1e-15)
 
     def test_separable_angle_gives_zero_f(self):

@@ -16,13 +16,10 @@ from pairvis import (
     marginal_k1_mixed,
     moments_k,
     moments_x,
-    normalized_r,
-    normalized_s,
-    practicality_diagnostic,
     quadrature_2d,
-    single_particle_v,
+    visibility_report,
 )
-from pairvis.correlation import rho_k_log10_abs, rho_k_sign, rho_x
+from pairvis.correlation import DETECTABILITY_FLOOR
 from pairvis.density import basis_domains, basis_panel_hints
 from pairvis.radon import marginal_k1
 from pairvis.state import KX
@@ -103,24 +100,21 @@ class TestMoments:
 
 class TestNormalizedMeasures:
     def test_self_ratio_at_maximal_entanglement(self):
-        p = SetupParams(5.0, 1.0, 2.0, PI / 4.0)
-        assert normalized_r(p) == pytest.approx(1.0, abs=1e-15)
-        assert normalized_s(p) == pytest.approx(1.0, abs=1e-15)
         # the reference is the same record, so the ratios are exactly one
         for a in (5.0, 6.0, 30.0):
             sums = complementarity_sums(SetupParams(a, 1.0, 2.0, PI / 4.0))
             assert sums.R == 1.0 and sums.S == 1.0
 
     def test_zero_at_separable_angle(self):
-        p = SetupParams(5.0, 1.0, 2.0, 0.0)
-        assert normalized_r(p) == 0.0
-        assert normalized_s(p) == 0.0
+        sums = complementarity_sums(SetupParams(5.0, 1.0, 2.0, 0.0))
+        assert sums.R == 0.0
+        assert sums.S == 0.0
 
     def test_regression_values(self):
-        p = SetupParams(5.0, 1.0, 2.0, 0.7)
-        assert rho_x(p) == pytest.approx(0.9557417414194062, rel=1e-14)
-        assert normalized_r(p) == pytest.approx(0.9854457468487514, rel=1e-14)
-        assert normalized_s(p) == pytest.approx(0.985518175649408, rel=1e-14)
+        sums = complementarity_sums(SetupParams(5.0, 1.0, 2.0, 0.7))
+        assert sums.rho_x == pytest.approx(0.9557417414194062, rel=1e-14)
+        assert sums.R == pytest.approx(0.9854457468487514, rel=1e-14)
+        assert sums.S == pytest.approx(0.985518175649408, rel=1e-14)
 
     @given(params_st)
     @settings(max_examples=40, deadline=None)
@@ -128,25 +122,27 @@ class TestNormalizedMeasures:
         # rho_x obeys Cauchy-Schwarz everywhere; R and S are ratios against
         # the xi = pi/4 reference and can exceed 1 outside the narrow-slit
         # regime, so the unit upper bound is only asserted there.
-        assert -1.0 - 1e-14 <= rho_x(p) <= 1.0 + 1e-14
-        assert normalized_r(p) >= 0.0
-        assert normalized_s(p) >= 0.0
+        sums = complementarity_sums(p)
+        assert -1.0 - 1e-14 <= sums.rho_x <= 1.0 + 1e-14
+        assert sums.R >= 0.0
+        assert sums.S >= 0.0
         if not p.regime_warning:
-            assert normalized_r(p) <= 1.0 + 1e-14
-            assert normalized_s(p) <= 1.0 + 1e-14
+            assert sums.R <= 1.0 + 1e-14
+            assert sums.S <= 1.0 + 1e-14
 
     def test_rho_x_tends_to_one_at_high_squeezing(self):
         # convergence is polynomial: rho_x ~ 1 - 1/(8 a h^2) at xi = pi/4
-        assert rho_x(SetupParams(200.0, 1.0, 1.0, PI / 4.0)) == pytest.approx(1.0, abs=5e-3)
+        assert complementarity_sums(SetupParams(200.0, 1.0, 1.0, PI / 4.0)).rho_x == pytest.approx(1.0, abs=5e-3)
 
     def test_rho_k_log_magnitude_and_sign(self):
         p = SetupParams(10.0, 1.0, 1.0, PI / 4.0)
         # |rho_k| = 40 e^{-40} / sqrt(Var_k1 Var_k2) here; cross-checked by the
         # extended-precision factorized quadrature oracle in the acceptance suite
-        assert rho_k_log10_abs(p) == pytest.approx(-15.769719284802111, rel=1e-13)
-        assert rho_k_sign(p) == -1
-        assert rho_k_log10_abs(p.with_xi(0.0)) is None
-        assert rho_k_sign(p.with_xi(0.0)) == 0
+        sums, separable = complementarity_sums(p), complementarity_sums(p.with_xi(0.0))
+        assert sums.rho_k_log10_abs == pytest.approx(-15.769719284802111, rel=1e-13)
+        assert sums.rho_k_sign == -1
+        assert separable.rho_k_log10_abs is None
+        assert separable.rho_k_sign == 0
 
 
 class TestMixedMarginal:
@@ -168,17 +164,17 @@ class TestMixedMarginal:
         assert float(np.max(np.abs(numeric - marginal_k1_mixed(p, k)))) < 1e-8
 
 
-class TestPracticalityDiagnostic:
+class TestDetectability:
     def test_flagged_at_modest_squeezing(self):
-        d = practicality_diagnostic(SetupParams(10.0, 1.0, 1.0, 0.3))
-        assert d.flagged
-        assert d.rho_k_pi4_log10_abs == pytest.approx(-15.769719284802111, rel=1e-13)
+        # the flag reads |rho_k| at xi = pi/4 (10^-15.77 here), whatever the report's own angle
+        p = SetupParams(10.0, 1.0, 1.0, 0.3)
+        assert complementarity_sums(p).detectability_flag
+        reference = complementarity_sums(p.with_xi(PI / 4.0))
+        assert reference.rho_k_log10_abs == pytest.approx(-15.769719284802111, rel=1e-13)
+        assert 10.0 ** reference.rho_k_log10_abs < DETECTABILITY_FLOOR
 
     def test_not_flagged_at_weak_squeezing(self):
-        assert not practicality_diagnostic(SetupParams(1.0, 1.0, 1.0, 0.3)).flagged
-
-    def test_zero_floor_never_flags(self):
-        assert not practicality_diagnostic(SetupParams(50.0, 2.0, 2.0, 0.3), floor=0.0).flagged
+        assert not complementarity_sums(SetupParams(1.0, 1.0, 1.0, 0.3)).detectability_flag
 
 
 class TestComplementaritySums:
@@ -194,10 +190,10 @@ class TestComplementaritySums:
     def test_sums_consistent_with_components(self):
         p = SetupParams(6.0, 1.0, 2.0, 0.7)
         report = complementarity_sums(p)
-        v = single_particle_v(p)
-        assert report.V2_plus_R2 == pytest.approx(v * v + normalized_r(p) ** 2, abs=1e-14)
-        assert report.V2_plus_S2 == pytest.approx(v * v + normalized_s(p) ** 2, abs=1e-14)
-        assert report.rhox2_plus_V2 == pytest.approx(v * v + rho_x(p) ** 2, abs=1e-14)
+        v = visibility_report(p).V
+        assert report.V2_plus_R2 == pytest.approx(v * v + report.R ** 2, abs=1e-14)
+        assert report.V2_plus_S2 == pytest.approx(v * v + report.S ** 2, abs=1e-14)
+        assert report.rhox2_plus_V2 == pytest.approx(v * v + report.rho_x ** 2, abs=1e-14)
 
     def test_limit_relations_at_high_squeezing(self):
         p = SetupParams(50.0, 1.0, 1.0, 0.6)
@@ -206,7 +202,3 @@ class TestComplementaritySums:
         assert report.V2_plus_S2 == pytest.approx(1.0, abs=1e-15)
         # rho_x converges to |sin 2 xi| only polynomially in a
         assert report.rhox2_plus_V2 == pytest.approx(1.0, abs=2e-2)
-
-    def test_detectability_flag_matches_diagnostic(self):
-        p = SetupParams(10.0, 1.0, 1.0, 0.3)
-        assert complementarity_sums(p).detectability_flag == practicality_diagnostic(p).flagged

@@ -15,10 +15,6 @@ from pairvis import (
     envelopes_for,
     epsilon_and_bound,
     numeric_visibility,
-    single_particle_v,
-    two_particle_d,
-    two_particle_w,
-    visibility_of,
     visibility_report,
 )
 from pairvis import _mpcore
@@ -159,9 +155,9 @@ class TestScalarMeasures:
         # independent route: sample the marginal's brace (no Gaussian
         # prefactor) over a few fringe periods and take its max/min contrast
         p = SetupParams(30.0, 1.0, 2.0, 0.3)
-        for observable in ("k1", "k2", "s+", "s-"):
-            env = envelopes_for(p, observable)
-            assert visibility_of(env) == pytest.approx(numeric_visibility(p, observable), abs=1e-10)
+        rep = visibility_report(p)
+        for observable, value in (("k1", rep.v_k1), ("k2", rep.v_k2), ("s+", rep.v_splus), ("s-", rep.v_sminus)):
+            assert value == pytest.approx(numeric_visibility(p, observable), abs=1e-10)
 
     @pytest.mark.parametrize("a", [1e-3, 0.01, 0.05])
     def test_numeric_extraction_is_finite_for_wide_slits(self, a):
@@ -194,34 +190,19 @@ class TestScalarMeasures:
     @settings(max_examples=60, deadline=None)
     def test_separable_angles_have_full_one_particle_visibility(self, p):
         for xi in (0.0, PI / 2.0):
-            q = p.with_xi(xi)
-            assert single_particle_v(q) == pytest.approx(1.0, abs=1e-15)
-            assert two_particle_d(q) == pytest.approx(0.0, abs=1e-15)
+            rep = visibility_report(p.with_xi(xi))
+            assert rep.V == pytest.approx(1.0, abs=1e-15)
+            assert rep.D == pytest.approx(0.0, abs=1e-15)
 
     def test_maximal_entanglement_anchors(self):
         p = SetupParams(7.0, 1.3, 2.2, PI / 4.0)
-        assert two_particle_d(p) == pytest.approx(1.0, abs=1e-15)
+        assert visibility_report(p).D == pytest.approx(1.0, abs=1e-15)
 
     @given(st.floats(1.0, 50.0), st.floats(0.3, 3.0), st.floats(0.0, PI))
     @settings(max_examples=60, deadline=None)
     def test_d_equals_w_for_equal_slits(self, a, h, xi):
-        p = SetupParams(a, h, h, xi)
-        assert abs(two_particle_d(p) - two_particle_w(p)) <= 1e-15
-
-    @pytest.mark.parametrize(
-        "p",
-        [
-            SetupParams(600.0, 1.0, 2.0, 0.3),
-            SetupParams(100.0, 1.0, 2.0, 1.0),
-            SetupParams(30.0, 1.0, 2.0, 0.3),
-            SetupParams(12.0, 0.7, 2.4, 2.0),
-            SetupParams(2.0, 1.5, 1.2, 1.2),
-        ],
-    )
-    def test_w_matches_the_report(self, p):
-        # W is the gap between two contrasts that both approach 1, so at a fixed
-        # 50 digits it cancels to noise at deep points (0.0 at a = 600)
-        assert two_particle_w(p) == visibility_report(p).W
+        rep = visibility_report(SetupParams(a, h, h, xi))
+        assert abs(rep.D - rep.W) <= 1e-15
 
 
 class TestComplementarityBound:
