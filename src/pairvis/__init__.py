@@ -3,7 +3,6 @@
 from .corrected import (
     CorrectedReport,
     corrected_density,
-    corrected_envelopes,
     corrected_f,
     corrected_slice_spm,
 )
@@ -27,7 +26,6 @@ from .density import (
 )
 from .radon import (
     Marginal1D,
-    MarginalKind,
     RadonAngle,
     marginal_at,
     marginal_k1,
@@ -35,7 +33,6 @@ from .radon import (
     marginal_kpm,
     marginal_spm,
     radon_numeric,
-    slice_numeric,
 )
 from .state import (
     KK,
@@ -50,13 +47,10 @@ from .state import (
     decomposition_residual,
     normalization_b2,
     psi,
-    rescale_second_subsystem,
 )
 from .visibility import (
-    EnvelopeSet,
     VisibilityReport,
     envelope_pin_check,
-    envelopes_for,
     epsilon_and_bound,
     numeric_visibility,
     visibility_report,

@@ -16,14 +16,13 @@ Along the slit-weighted diagonals the corrected slice admits three envelopes
 the active pair: (env+, env-) for distinct slit separations, (env0, env-) for
 equal ones.  After phase pinning the envelope ratio is s-independent (every
 brace term shares the same Gaussian profile), so the contrast is evaluated
-from the pinned constants; the first pin point is still reported.
+from the pinned constants alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import mpmath
 import numpy as np
@@ -35,12 +34,9 @@ from .state import KK, PI, Report, SetupParams, _slits_equal, normalization_b2
 
 __all__ = [
     "CorrectedReport",
-    "CorrectedSliceEnvelopes",
     "corrected_density",
-    "corrected_envelopes",
     "corrected_f",
     "corrected_slice_spm",
-    "slice_envelope_crossover",
 ]
 
 _CONVENTIONS = ("b4_xi", "b4_pi4")
@@ -121,43 +117,6 @@ def _pinned_constants_mp(pt: _mpcore.Point, sign: int, b4_add) -> tuple:
     return tuple(_slice_bracket(consts, sign, *pin) for pin in _SLICE_PINS)
 
 
-@dataclass
-class CorrectedSliceEnvelopes:
-    """The three pinned envelopes of a corrected diagonal slice."""
-
-    sign: int
-    convention: str
-    env_minus: Callable[[np.ndarray], np.ndarray]
-    env_plus: Callable[[np.ndarray], np.ndarray]
-    env_zero: Callable[[np.ndarray], np.ndarray]
-    active_pair: str  # "plus_minus" or "zero_minus"
-
-
-def corrected_envelopes(
-    params: SetupParams, sign: int, convention: str = "b4_xi"
-) -> CorrectedSliceEnvelopes:
-    _check_convention(convention)
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    with _mpcore.workdps():
-        pt = _mpcore.point(params)
-        km_f, kp_f, k0_f = map(float, _pinned_constants_mp(pt, sign, _added_b4_mp(params, pt, convention)))
-    a = params.a
-
-    def _pref(s: np.ndarray) -> np.ndarray:
-        s_arr = np.asarray(s, dtype=float)
-        return (1.0 / (a * PI)) * np.exp(-s_arr * s_arr / (2.0 * a))
-
-    return CorrectedSliceEnvelopes(
-        sign=sign,
-        convention=convention,
-        env_minus=lambda s: _pref(s) * km_f,
-        env_plus=lambda s: _pref(s) * kp_f,
-        env_zero=lambda s: _pref(s) * k0_f,
-        active_pair="zero_minus" if _slits_equal(params) else "plus_minus",
-    )
-
-
 @dataclass(frozen=True)
 class CorrectedReport(Report):
     """Indirect-method scalars; ``F`` is the best corrected-slice contrast."""
@@ -167,12 +126,6 @@ class CorrectedReport(Report):
     v_sminus: float
     equality_mode: bool
     convention: str
-
-    @property
-    def pin_s(self) -> float:
-        """First pin point of the dominant phase (envelope touch location)."""
-        h1, h2 = self.params.h1, self.params.h2
-        return (PI / 4.0) * math.sqrt(h1 ** 2 + h2 ** 2) / max(h1, h2) ** 2
 
 
 def _corrected_vis_mp(params: SetupParams, pt: _mpcore.Point, convention: str) -> tuple:
@@ -201,29 +154,3 @@ def corrected_f(params: SetupParams, convention: str = "b4_xi") -> CorrectedRepo
         equality_mode=_slits_equal(params),
         convention=convention,
     )
-
-
-def slice_envelope_crossover(
-    params: SetupParams,
-    sign: int,
-    s_axis: Optional[np.ndarray] = None,
-    convention: str = "b4_xi",
-) -> Optional[float]:
-    """Largest |s| at which the slice still exceeds env0 (diagnostic).
-
-    For distinct slit separations the corrected slice leaves the (env0, env-)
-    band in its tails and is bounded by (env+, env-) instead; this reports
-    where that happens, or None if the slice never exceeds env0.
-    """
-    if s_axis is None:
-        half = 10.0 * math.sqrt(params.a)
-        s_axis = np.linspace(-half, half, 4001)
-    s_arr = np.asarray(s_axis, dtype=float)
-    env = corrected_envelopes(params, sign, convention)
-    slice_vals = corrected_slice_spm(params, sign, s_arr, convention)
-    excess = slice_vals - env.env_zero(s_arr)
-    scale = float(np.max(np.abs(slice_vals))) or 1.0
-    mask = excess > 1e-12 * scale
-    if not bool(np.any(mask)):
-        return None
-    return float(np.max(np.abs(s_arr[mask])))

@@ -332,11 +332,6 @@ class Density2D:
             values = np.asarray(fn(u, v), dtype=float)
         return cls(grid=grid, basis=basis, params=params, values=values)
 
-    def mass(self) -> float:
-        """Trapezoid-rule mass over the grid (diagnostic, not the oracle)."""
-        inner = np.trapezoid(self.values, self.grid.v_axis(), axis=1)
-        return float(np.trapezoid(inner, self.grid.u_axis()))
-
     def to_csv_text(self) -> str:
         """CSV text: the header ``u,v,value``, then one line per cell.
 

@@ -3,15 +3,12 @@
 For a direction angle phi, ``P(s) = ∫∫ rho(k1, k2) δ(s - k1 cos(phi) - k2 sin(phi)) dk1 dk2``
 is evaluated by rotating to line coordinates ``k1 = s cos(phi) - t sin(phi)``,
 ``k2 = s sin(phi) + t cos(phi)`` (unit Jacobian) and integrating over ``t``.
-A slice, by contrast, fixes the transverse offset instead of integrating it
-out, and is not normalized.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,17 +21,14 @@ OBSERVABLES = ("k1", "k2", "k+", "k-", "s+", "s-")
 
 __all__ = [
     "Marginal1D",
-    "MarginalKind",
     "OBSERVABLES",
     "RadonAngle",
-    "default_s_axis",
     "marginal_at",
     "marginal_k1",
     "marginal_k2",
     "marginal_kpm",
     "marginal_spm",
     "radon_numeric",
-    "slice_numeric",
     "splus_angle",
 ]
 
@@ -99,40 +93,14 @@ def splus_angle(params: SetupParams) -> float:
     return math.atan2(params.h2, params.h1)
 
 
-class MarginalKind(enum.Enum):
-    MARGINAL = "marginal"
-    SLICE = "slice"
-
-
 @dataclass
 class Marginal1D:
-    """A one-dimensional section of the joint wavenumber density."""
+    """A Radon marginal of the joint density: its values on the ``s`` axis at angle ``phi``."""
 
     observable: str
     phi: float
     s: np.ndarray
     values: np.ndarray
-    kind: MarginalKind = MarginalKind.MARGINAL
-    offset: float = 0.0
-
-    def mass(self) -> float:
-        return float(np.trapezoid(self.values, self.s))
-
-    def to_csv_text(self) -> str:
-        lines = [
-            f"# observable={self.observable}",
-            f"# phi={self.phi:.17g}",
-            f"# kind={self.kind.value}",
-            "s,value",
-        ]
-        for si, vi in zip(self.s, self.values):
-            lines.append(f"{si:.17g},{vi:.17g}")
-        return "\n".join(lines) + "\n"
-
-
-def default_s_axis(params: SetupParams, n: int = 1001) -> np.ndarray:
-    half = 10.0 * math.sqrt(params.a)
-    return np.linspace(-half, half, n)
 
 
 def radon_numeric(
@@ -157,30 +125,6 @@ def radon_numeric(
 
     values = integrate_1d_batch(along_line, -half, half, tol=tol, min_panels=panels)
     return Marginal1D(observable=angle.label, phi=angle.phi, s=s, values=values)
-
-
-def slice_numeric(
-    params: SetupParams,
-    phi,
-    offset: float,
-    s_axis: np.ndarray,
-    basis: BasisPair = KK,
-) -> Marginal1D:
-    """Density along the rotated line at fixed transverse offset (no integration)."""
-    angle = _as_angle(phi)
-    s = np.asarray(s_axis, dtype=float)
-    c, sn = math.cos(angle.phi), math.sin(angle.phi)
-    k1 = s * c - offset * sn
-    k2 = s * sn + offset * c
-    values = density_at(params, basis, k1, k2)
-    return Marginal1D(
-        observable=angle.label,
-        phi=angle.phi,
-        s=s,
-        values=values,
-        kind=MarginalKind.SLICE,
-        offset=float(offset),
-    )
 
 
 def _marginal_brace(params: SetupParams, phi: float, s: np.ndarray) -> np.ndarray:

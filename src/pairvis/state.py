@@ -26,7 +26,6 @@ __all__ = [
     "BasisPair",
     "ParameterDomainError",
     "Report",
-    "SecondSlitRescaling",
     "SetupParams",
     "UnsupportedBasisError",
     "XX",
@@ -38,7 +37,6 @@ __all__ = [
     "psi",
     "psi_entangled",
     "psi_separable",
-    "rescale_second_subsystem",
 ]
 
 
@@ -350,46 +348,3 @@ def psi(params: SetupParams, basis: BasisPair, u, v) -> np.ndarray:
 def decomposition_residual(params: SetupParams, basis: BasisPair, u, v) -> np.ndarray:
     """|psi_entangled - psi_separable|; zero up to roundoff for pure bases."""
     return np.abs(psi_entangled(params, basis, u, v) - psi_separable(params, basis, u, v))
-
-
-@dataclass(frozen=True)
-class SecondSlitRescaling:
-    """Standard-form parameters for a state whose second slit has squeezing ``b``.
-
-    ``standard`` shares the first subsystem's squeezing ``a``; the second
-    subsystem's coordinate is stretched so the differently squeezed Gaussians
-    take the common-``a`` form.  ``scale`` is sqrt(b/a): standard coordinates
-    are ``scale`` times physical ones.
-    """
-
-    standard: SetupParams
-    scale: float
-
-    def to_standard(self, x2_physical):
-        return np.asarray(x2_physical, dtype=float) * self.scale
-
-    def to_physical(self, x2_standard):
-        return np.asarray(x2_standard, dtype=float) / self.scale
-
-    @property
-    def jacobian(self) -> float:
-        """d(physical)/d(standard) for the second coordinate."""
-        return 1.0 / self.scale
-
-
-def rescale_second_subsystem(params: SetupParams, b: float) -> SecondSlitRescaling:
-    """Map a state with second-slit squeezing ``b`` onto the common-``a`` form.
-
-    ``params.h2`` is the physical half-separation of the second slit; the
-    returned standard parameters carry ``h2 * sqrt(b/a)``.  With ``b = a`` the
-    map is the identity.
-    """
-    try:
-        b = float(b)
-    except (TypeError, ValueError):
-        raise ParameterDomainError("b must be a real number") from None
-    if not math.isfinite(b) or b <= 0.0:
-        raise ParameterDomainError(f"b must be a positive finite real, got {b!r}")
-    scale = math.sqrt(b / params.a)
-    standard = SetupParams(params.a, params.h1, params.h2 * scale, params.xi)
-    return SecondSlitRescaling(standard=standard, scale=scale)

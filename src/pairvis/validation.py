@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -29,6 +29,12 @@ class CheckResult:
     passed: bool
     seconds: float
 
+
+# random points per basis of the amplitude check, and per axis of the factor-table check
+_DECOMPOSITION_POINTS = 100_000
+_DECOMPOSITION_AXIS = 300
+# s points per line of the Radon check
+_RADON_POINTS = 51
 
 _XI_GRID = (0.0, PI / 8.0, PI / 4.0, 3.0 * PI / 8.0, PI / 2.0, 3.0 * PI / 4.0)
 
@@ -65,11 +71,7 @@ def _normalization_dev(params_list: Iterable[SetupParams], tol_quad: float) -> f
     return worst
 
 
-def _decomposition_dev(
-    params_list: Iterable[SetupParams],
-    n: int = 100_000,
-    n_axis: int = 300,
-) -> float:
+def _decomposition_dev(params_list: Iterable[SetupParams]) -> float:
     """Entangled vs separable amplitude, then factored vs pointwise density.
 
     The second half compares ``density_at`` on a row of u against a column of
@@ -84,13 +86,13 @@ def _decomposition_dev(
     for params in params_list:
         for basis in (XX, KK):
             (lo1, hi1), (lo2, hi2) = density.basis_domains(params, basis)
-            u = rng.uniform(lo1, hi1, n)
-            v = rng.uniform(lo2, hi2, n)
+            u = rng.uniform(lo1, hi1, _DECOMPOSITION_POINTS)
+            v = rng.uniform(lo2, hi2, _DECOMPOSITION_POINTS)
             worst = max(worst, float(np.max(decomposition_residual(params, basis, u, v))))
         for basis in (XX, KK, KX, XK):
             (lo1, hi1), (lo2, hi2) = density.basis_domains(params, basis)
-            u = rng.uniform(lo1, hi1, n_axis)
-            v = rng.uniform(lo2, hi2, n_axis)
+            u = rng.uniform(lo1, hi1, _DECOMPOSITION_AXIS)
+            v = rng.uniform(lo2, hi2, _DECOMPOSITION_AXIS)
             amp = psi(params, basis, *np.meshgrid(u, v, indexing="ij"))
             pointwise = amp.real * amp.real + amp.imag * amp.imag
             factored = density.density_at(params, basis, u[:, None], v[None, :])
@@ -110,12 +112,12 @@ def _decomposition_dev(
     return worst
 
 
-def _radon_dev(params_list: Iterable[SetupParams], tol_quad: float, n_s: int = 51) -> float:
+def _radon_dev(params_list: Iterable[SetupParams], tol_quad: float) -> float:
     """Closed-form marginal vs line quadrature at the named angles and two seeded generic ones."""
     rng = np.random.default_rng(20261019)
     worst = 0.0
     for params in params_list:
-        s = np.linspace(-6.0 * math.sqrt(params.a), 6.0 * math.sqrt(params.a), n_s)
+        s = np.linspace(-6.0 * math.sqrt(params.a), 6.0 * math.sqrt(params.a), _RADON_POINTS)
         angles = [radon.RadonAngle.named(label, params) for label in radon.OBSERVABLES]
         angles += [radon.RadonAngle(phi) for phi in rng.uniform(-PI / 2.0, PI / 2.0, 2)]
         for angle in angles:

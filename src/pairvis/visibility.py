@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import mpmath
 import numpy as np
@@ -30,11 +30,9 @@ from .radon import OBSERVABLES, RadonAngle, _marginal_brace, marginal_at
 from .state import PI, Report, SetupParams, _line_frequencies, _slits_equal, normalization_b2
 
 __all__ = [
-    "EnvelopeSet",
     "PinCheckResult",
     "VisibilityReport",
     "envelope_pin_check",
-    "envelopes_for",
     "epsilon_and_bound",
     "numeric_visibility",
     "visibility_report",
@@ -85,34 +83,6 @@ def _envelope_table_mp(pt: _mpcore.Point, observables=OBSERVABLES) -> dict:
             for p1, p2 in _PINS[observable]
         )
     return table
-
-
-@dataclass
-class EnvelopeSet:
-    """Upper/lower fringe envelopes of one marginal, as callables plus constants."""
-
-    observable: str
-    env_minus: Callable[[np.ndarray], np.ndarray]
-    env_plus: Callable[[np.ndarray], np.ndarray]
-
-
-def envelopes_for(params: SetupParams, observable: str) -> EnvelopeSet:
-    if observable not in _PINS:
-        raise ValueError(f"unknown observable {observable!r}; expected one of {OBSERVABLES}")
-    with _mpcore.workdps():
-        lo_f, up_f = map(float, _envelope_table_mp(_mpcore.point(params), (observable,))[observable])
-    a = params.a
-    b2 = normalization_b2(params)
-    norm = b2 / math.sqrt(2.0 * a * PI)
-
-    def _pref(s: np.ndarray) -> np.ndarray:
-        return norm * np.exp(-np.asarray(s, dtype=float) ** 2 / (2.0 * a))
-
-    return EnvelopeSet(
-        observable=observable,
-        env_minus=lambda s: _pref(s) * lo_f,
-        env_plus=lambda s: _pref(s) * up_f,
-    )
 
 
 def _contrast(lower, upper):
@@ -173,19 +143,26 @@ def envelope_pin_check(params: SetupParams, observable: str) -> PinCheckResult:
     point when h1 = h2; otherwise the envelope is tangent only approximately
     and the result reports ``simultaneous=False`` with no deviation claim.
     """
-    env = envelopes_for(params, observable)
+    angle = RadonAngle.named(observable, params)
     if observable not in ("k1", "k2") and not _slits_equal(params):
         return PinCheckResult(observable, False, (), None)
-    angle = RadonAngle.named(observable, params)
     # s = θ1 / (h1 cos phi); on the k2 axis cos phi vanishes and s = θ2 / (h2 sin phi)
     i, h_trig = (1, params.h2 * math.sin(angle.phi)) if observable == "k2" else (0, params.h1 * math.cos(angle.phi))
     pins = tuple(pin[i] * PI / 4.0 / h_trig for pin in _PINS[observable])
-    marg_lo, marg_hi = marginal_at(params, angle, np.array(pins))
-    dev = max(abs(marg_lo - float(env.env_minus(pins[0]))), abs(marg_hi - float(env.env_plus(pins[1]))))
+    with _mpcore.workdps():
+        braces = tuple(map(float, _envelope_table_mp(_mpcore.point(params), (observable,))[observable]))
+    s, a = np.array(pins), params.a
+    # the (lower, upper) envelope at its own pin: the marginal's prefactor times the pinned brace
+    envelopes = normalization_b2(params) / math.sqrt(2.0 * a * PI) * np.exp(-s ** 2 / (2.0 * a)) * np.array(braces)
+    dev = np.max(np.abs(marginal_at(params, angle, s) - envelopes))
     return PinCheckResult(observable, True, pins, float(dev))
 
 
-def numeric_visibility(params: SetupParams, observable: str, n: int = 16001) -> float:
+# brace samples over the three fringe periods that numeric_visibility scans
+_NUMERIC_SAMPLES = 16001
+
+
+def numeric_visibility(params: SetupParams, observable: str) -> float:
     """Independent visibility estimate by extremum extraction.
 
     Samples the brace of the closed-form marginal (the marginal without its
@@ -197,7 +174,7 @@ def numeric_visibility(params: SetupParams, observable: str, n: int = 16001) -> 
     phi = RadonAngle.named(observable, params).phi
     # the fastest fringe: 2 (h1 |cos phi| + h2 |sin phi|) is the largest brace frequency
     freq = 2.0 * (params.h1 * abs(math.cos(phi)) + params.h2 * abs(math.sin(phi)))
-    brace = _marginal_brace(params, phi, np.linspace(0.0, 3.0 * (2.0 * PI / freq), n))
+    brace = _marginal_brace(params, phi, np.linspace(0.0, 3.0 * (2.0 * PI / freq), _NUMERIC_SAMPLES))
     hi = float(np.max(brace))
     lo = float(np.min(brace))
     if hi + lo == 0.0:

@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 from pairvis import (
     SetupParams,
     corrected_density,
-    corrected_envelopes,
     corrected_f,
     corrected_slice_spm,
     density_at,
     visibility_report,
 )
 from pairvis import _mpcore
-from pairvis.corrected import _added_b4_mp, _pinned_constants_mp, slice_envelope_crossover
+from pairvis.corrected import _added_b4_mp, _pinned_constants_mp
 from pairvis.radon import marginal_k1, marginal_k2, splus_angle
 from pairvis.state import KK
 
@@ -65,6 +64,18 @@ def _pinned_constant_mp(params, sign, which, convention):
         - (b4 / 8) * (1 + e2 * c2 + (c2 + e2) * c2a) * (1 + e1 * c2 + (c2 + e1) * c2b)
         + (b4_add / 8) * (1 + e2 * c2a) * (1 + e1 * c2b)
     )
+
+
+def _slice_above_env0(p):
+    """|s| where the s+ slice exceeds env0 by more than 1e-12 of its peak."""
+    with _mpcore.workdps():
+        pt = _mpcore.point(p)
+        k_zero = float(_pinned_constants_mp(pt, 1, _added_b4_mp(p, pt, "b4_xi"))[2])
+    half = 10.0 * math.sqrt(p.a)
+    s = np.linspace(-half, half, 4001)
+    slice_vals = corrected_slice_spm(p, 1, s)
+    env_zero = (1.0 / (p.a * PI)) * np.exp(-s * s / (2.0 * p.a)) * k_zero
+    return np.abs(s[slice_vals - env_zero > 1e-12 * float(np.max(np.abs(slice_vals)))])
 
 
 class TestCorrectedDensity:
@@ -139,16 +150,16 @@ class TestEnvelopes:
                                 assert abs(value - ref) <= 1e-40 * scale, (p, sign, which)
 
     def test_active_pair_switches_on_slit_equality(self):
-        assert corrected_envelopes(SetupParams(8.0, 1.0, 2.0, 0.4), 1).active_pair == "plus_minus"
-        assert corrected_envelopes(SetupParams(8.0, 1.5, 1.5, 0.4), 1).active_pair == "zero_minus"
+        assert not corrected_f(SetupParams(8.0, 1.0, 2.0, 0.4)).equality_mode
+        assert corrected_f(SetupParams(8.0, 1.5, 1.5, 0.4)).equality_mode
 
     def test_crossover_diagnostic(self):
         # equal slits: the slice never leaves the (env0, env-) band
-        eq = slice_envelope_crossover(SetupParams(8.0, 1.0, 1.0, 0.4), 1)
-        assert eq is None or abs(eq) < 1e-9
+        eq = _slice_above_env0(SetupParams(8.0, 1.0, 1.0, 0.4))
+        assert eq.size == 0 or float(np.max(eq)) < 1e-9
         # unequal slits: the tails exceed env0 far from the origin
-        uneq = slice_envelope_crossover(SetupParams(8.0, 1.0, 2.0, 0.4), 1)
-        assert uneq is not None and uneq > 1.0
+        uneq = _slice_above_env0(SetupParams(8.0, 1.0, 2.0, 0.4))
+        assert uneq.size > 0 and float(np.max(uneq)) > 1.0
 
 
 class TestVisibilityF:
@@ -201,7 +212,3 @@ class TestReportInterface:
         assert list(r.to_dict().keys()) == [
             "a", "h1", "h2", "xi", "F", "v_splus", "v_sminus", "equality_mode", "convention",
         ]
-
-    def test_pin_location_attribute(self):
-        r = corrected_f(SetupParams(30.0, 1.0, 2.0, 0.3))
-        assert r.pin_s == pytest.approx((PI / 4.0) * math.sqrt(5.0) / 4.0, rel=1e-15)

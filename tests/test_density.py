@@ -304,7 +304,8 @@ class TestDensity2D:
     def test_trapezoid_mass_near_unity(self):
         p = SetupParams(10.0, 1.0, 1.0, 0.3)
         field = Density2D.evaluate(p, KK, default_grid(p, KK, 256, 256))
-        assert field.mass() == pytest.approx(1.0, abs=1e-4)
+        inner = np.trapezoid(field.values, field.grid.v_axis(), axis=1)
+        assert float(np.trapezoid(inner, field.grid.u_axis())) == pytest.approx(1.0, abs=1e-4)
 
     def test_csv_round_trips_at_full_precision(self):
         p = SetupParams(4.0, 1.0, 2.0, 0.3)
@@ -400,7 +401,7 @@ class TestFactoredDensity:
         layouts = [
             # a rotated (s, t) block passed as full coordinate arrays
             (s[:, None] * c - t[None, :] * sn, s[:, None] * sn + t[None, :] * c),
-            # slice_numeric: one rotated line at a transverse offset
+            # a slice: one rotated line at a transverse offset
             (s * c - 0.1 * half * sn, s * sn + 0.1 * half * c),
         ]
         for u, v in layouts:

@@ -21,7 +21,6 @@ from pairvis import (
     decomposition_residual,
     normalization_b2,
     psi,
-    rescale_second_subsystem,
 )
 from pairvis import _mpcore
 from pairvis.state import psi_entangled, psi_separable
@@ -187,39 +186,6 @@ class TestAmplitude:
         p = SetupParams(6.0, 1.0, 2.0, 0.0)
         vals = psi(p, KX, np.linspace(-4, 4, 33), np.linspace(-2, 2, 33))
         assert float(np.max(np.abs(vals.imag))) == 0.0
-
-
-class TestSecondSlitRescaling:
-    def test_identity_when_b_equals_a(self):
-        p = SetupParams(4.0, 1.0, 2.0, 0.3)
-        r = rescale_second_subsystem(p, 4.0)
-        assert r.scale == 1.0
-        assert r.standard == p
-        assert r.jacobian == 1.0
-
-    def test_quadrupled_squeezing_doubles_the_standard_separation(self):
-        p = SetupParams(4.0, 1.0, 2.0, 0.3)
-        r = rescale_second_subsystem(p, 16.0)
-        assert r.scale == pytest.approx(2.0, rel=1e-15)
-        assert r.standard.h2 == pytest.approx(4.0, rel=1e-15)
-        assert float(r.to_physical(4.0)) == pytest.approx(2.0, rel=1e-15)
-        assert float(r.to_standard(2.0)) == pytest.approx(4.0, rel=1e-15)
-        assert r.jacobian == pytest.approx(0.5, rel=1e-15)
-
-    def test_rescaled_density_has_unit_mass_after_jacobian(self):
-        # |psi_standard(x1, u)|^2 du with u = scale * x2 integrates to 1, so the
-        # physical-frame density is |psi_standard|^2 * scale
-        from pairvis import normalization_mass
-
-        p = SetupParams(4.0, 1.0, 2.0, 0.3)
-        r = rescale_second_subsystem(p, 9.0)
-        assert normalization_mass(r.standard, XX) == pytest.approx(1.0, abs=1e-9)
-
-    def test_invalid_b_raises(self):
-        p = SetupParams(4.0, 1.0, 2.0, 0.3)
-        for bad in (0.0, -1.0, math.nan):
-            with pytest.raises(ParameterDomainError):
-                rescale_second_subsystem(p, bad)
 
 
 def test_axis_enum_values():

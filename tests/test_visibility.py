@@ -12,13 +12,12 @@ from pairvis import (
     SetupParams,
     VisibilityReport,
     envelope_pin_check,
-    envelopes_for,
     epsilon_and_bound,
     numeric_visibility,
     visibility_report,
 )
 from pairvis import _mpcore
-from pairvis.radon import OBSERVABLES, marginal_k1, marginal_spm
+from pairvis.radon import OBSERVABLES, RadonAngle, _marginal_brace
 from pairvis.visibility import _envelope_table_mp, bound_mp, epsilon_mp
 
 PI = math.pi
@@ -117,12 +116,14 @@ class TestEnvelopes:
     def test_envelopes_bracket_the_marginal(self):
         p = SetupParams(8.0, 1.0, 2.0, 0.4)
         s = np.linspace(-8.0, 8.0, 2001)
-        for observable, closed in (("k1", marginal_k1(p, s)), ("s+", marginal_spm(p, 1, s))):
-            env = envelopes_for(p, observable)
-            lo = env.env_minus(s)
-            hi = env.env_plus(s)
-            assert np.all(closed <= hi + 1e-13)
-            assert np.all(closed >= lo - 1e-13)
+        # the envelopes share the marginal's Gaussian prefactor, so the brace lies between the pinned ones
+        with _mpcore.workdps():
+            table = _envelope_table_mp(_mpcore.point(p), ("k1", "s+"))
+        for observable in ("k1", "s+"):
+            lo, hi = map(float, table[observable])
+            brace = _marginal_brace(p, RadonAngle.named(observable, p).phi, s)
+            assert np.all(brace <= hi + 1e-13)
+            assert np.all(brace >= lo - 1e-13)
 
     def test_envelope_touches_marginal_at_pin_points(self):
         p = SetupParams(8.0, 1.0, 1.0, 0.4)
@@ -143,9 +144,10 @@ class TestEnvelopes:
         assert check.max_deviation < 1e-12
 
     def test_unknown_observable_rejected(self):
-        p = SetupParams(8.0, 1.0, 1.0, 0.4)
+        # unequal slits: an unknown label must raise before the non-simultaneous early return
+        p = SetupParams(8.0, 1.0, 2.0, 0.4)
         with pytest.raises(ValueError):
-            envelopes_for(p, "q7")
+            envelope_pin_check(p, "q7")
         with pytest.raises(ValueError):
             numeric_visibility(p, "q7")
 
