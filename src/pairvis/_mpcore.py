@@ -22,18 +22,22 @@ DPS = 50
 _LOG10_E = 0.4342944819032518
 
 
-def workdps(params=None) -> mpmath.ctx_base.StandardBaseContext:
-    """Context manager selecting the package-wide working precision.
+def digits(params=None) -> int:
+    """Working precision, in digits, for ``params``.
 
-    When ``params`` is given, the precision is raised so that quantities of
-    order e^{-2a(h1^2+h2^2)} — the smallest scale appearing in the closed
-    forms — stay comfortably above the cancellation noise of 1 - V^2 - D^2.
+    50 digits, raised when ``params`` is given so that quantities of order
+    e^{-2a(h1^2+h2^2)} -- the smallest scale appearing in the closed forms --
+    stay comfortably above the cancellation noise of the direct 1 - V^2 - D^2.
     """
-    dps = DPS
-    if params is not None:
-        scale = 2.0 * params.a * (params.h1 * params.h1 + params.h2 * params.h2)
-        dps = max(DPS, 30 + int(scale * _LOG10_E))
-    return mpmath.workdps(dps)
+    if params is None:
+        return DPS
+    scale = 2.0 * params.a * (params.h1 * params.h1 + params.h2 * params.h2)
+    return max(DPS, 30 + int(scale * _LOG10_E))
+
+
+def workdps(params=None) -> mpmath.ctx_base.StandardBaseContext:
+    """Context manager at :func:`digits` of ``params``, or at ``params`` digits when it is an int."""
+    return mpmath.workdps(params if isinstance(params, int) else digits(params))
 
 
 # The per-point constants of the closed forms, at the precision they were built at:
@@ -58,25 +62,3 @@ def point(params, slits: Optional[Point] = None) -> Point:
     cx, sx = mpmath.cos_sin(xi)
     c2, s2 = mpmath.cos_sin(2 * xi)
     return Point(a, h1, h2, e1, e2, cx, sx, c2, s2, 2 / (1 + e1 * e2 + (e1 + e2) * c2))
-
-
-# Single-purpose forms of the record's constants; the tests compare the record against them.
-
-
-def trig2(xi) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """(cos 2xi, sin 2xi) at working precision."""
-    two_xi = 2 * mpmath.mpf(xi)
-    return mpmath.cos(two_xi), mpmath.sin(two_xi)
-
-
-def slit_exponentials(a, h1, h2) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """(e^{-2a h1^2}, e^{-2a h2^2}); mpmath never underflows these."""
-    a, h1, h2 = mpmath.mpf(a), mpmath.mpf(h1), mpmath.mpf(h2)
-    return mpmath.exp(-2 * a * h1 * h1), mpmath.exp(-2 * a * h2 * h2)
-
-
-def b2(a, h1, h2, xi) -> mpmath.mpf:
-    """Squared normalization constant, extended precision."""
-    e1, e2 = slit_exponentials(a, h1, h2)
-    c2, _ = trig2(xi)
-    return 2 / (1 + e1 * e2 + (e1 + e2) * c2)

@@ -13,7 +13,7 @@ import argparse
 import json
 import re
 import sys
-from typing import Optional
+from typing import Callable, Optional, TextIO
 
 import numpy as np
 
@@ -75,15 +75,20 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _write_with(path: Optional[str], write: Callable[[TextIO], None]) -> None:
+    """Run ``write`` on stdout, or on the file at ``path``; an unwritable path is a usage error."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        write(sys.stdout)
     else:
         try:
             with open(path, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
+                write(handle)
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write_text(path: Optional[str], text: str) -> None:
+    _write_with(path, lambda handle: handle.write(text))
 
 
 def _params_from_args(args) -> SetupParams:
@@ -119,10 +124,8 @@ def cmd_grid(args) -> int:
             raise ConfigError("the corrected density is defined in the kk basis only")
         fn = lambda u, v: corrected.corrected_density(params, u, v, convention=args.convention)
     field = density.Density2D.evaluate(params, basis, grid, fn=fn)
-    if args.format == "csv":
-        _write_text(args.out, field.to_csv_text())
-    else:
-        _write_text(args.out, field.to_json_text())
+    # the text goes out row by row, so no copy of the whole of it is ever held
+    _write_with(args.out, field.write_csv if args.format == "csv" else field.write_json)
     return 0
 
 

@@ -13,11 +13,12 @@ verifies it.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Optional, TextIO
 
 import numpy as np
 
@@ -332,29 +333,42 @@ class Density2D:
             values = np.asarray(fn(u, v), dtype=float)
         return cls(grid=grid, basis=basis, params=params, values=values)
 
-    def to_csv_text(self) -> str:
-        """CSV text: the header ``u,v,value``, then one line per cell.
+    def write_csv(self, handle: TextIO) -> None:
+        """Write the CSV text to ``handle``, one u-row per ``write``.
 
-        Cells are in row-major order with u outer (all v for u_0, then u_1,
-        ...); every number has 17 significant digits, so it round-trips.
+        The header ``u,v,value``, then one line per cell. Cells are in
+        row-major order with u outer (all v for u_0, then u_1, ...); every
+        number has 17 significant digits, so it round-trips.
         """
         # each axis is formatted once and each u-row filled from one template;
         # "%.17g" and f"{x:.17g}" share one float formatter, so the bytes are
         # those of formatting every cell on its own
         v_cells = ["," + ("%.17g" % v) + ",%.17g" for v in self.grid.v_axis().tolist()]
-        rows = ["u,v,value\n"]
+        handle.write("u,v,value\n")
         for u, row in zip(self.grid.u_axis().tolist(), self.values):
             us = "%.17g" % u
-            rows.append((us + ("\n" + us).join(v_cells) + "\n") % tuple(row.tolist()))
-        return "".join(rows)
+            handle.write((us + ("\n" + us).join(v_cells) + "\n") % tuple(row.tolist()))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "grid": asdict(self.grid),
-            "basis": self.basis.token,
-            "params": asdict(self.params),
-            "values": self.values.tolist(),
-        }
+    def write_json(self, handle: TextIO) -> None:
+        """Write ``{"grid", "basis", "params", "values"}`` as one JSON line to ``handle``, one u-row per ``write``.
+
+        The bytes are those of ``json.dumps`` of the whole object, whose last key is ``values``.
+        """
+        head = json.dumps({"grid": asdict(self.grid), "basis": self.basis.token, "params": asdict(self.params)})
+        handle.write(head[:-1] + ', "values": [')
+        for i, row in enumerate(self.values):
+            handle.write((", " if i else "") + json.dumps(row.tolist()))
+        handle.write("]}\n")
+
+    def to_csv_text(self) -> str:
+        return _written(self.write_csv)
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict()) + "\n"
+        return _written(self.write_json)
+
+
+def _written(write: Callable[[TextIO], None]) -> str:
+    """What ``write`` writes, as one string."""
+    buffer = io.StringIO()
+    write(buffer)
+    return buffer.getvalue()

@@ -42,6 +42,7 @@ from pairvis import (
 from pairvis import _mpcore, corrected, correlation, visibility
 from pairvis.cli import main as cli_main
 from pairvis.density import basis_domains, basis_panel_hints, density_at, gauss_panels
+from test_mpcore import b2_mp, trig2
 
 PI = math.pi
 
@@ -269,8 +270,8 @@ def _cov_k_oracle_mp(p: SetupParams) -> mpmath.mpf:
     except the sin(2 h1 k1) sin(2 h2 k2) cross term integrates to zero by parity,
     leaving cov = -(B^2 / (a pi)) (sin 2xi / 4) I(h1) I(h2).
     """
-    b2 = _mpcore.b2(p.a, p.h1, p.h2, p.xi)
-    _, s2 = _mpcore.trig2(p.xi)
+    b2 = b2_mp(p.a, p.h1, p.h2, p.xi)
+    _, s2 = trig2(p.xi)
     return -(b2 / (mpmath.mpf(p.a) * mpmath.pi)) * s2 / 4 * _slit_integral(p.a, p.h1) * _slit_integral(p.a, p.h2)
 
 
@@ -326,7 +327,7 @@ def _cov_x_oracle_mp(p: SetupParams) -> mpmath.mpf:
     """
     j1 = _gaussian_x_integrals(p.a, p.h1)
     j2 = _gaussian_x_integrals(p.a, p.h2)
-    b2 = _mpcore.b2(p.a, p.h1, p.h2, p.xi)
+    b2 = b2_mp(p.a, p.h1, p.h2, p.xi)
     angle = mpmath.pi / 4 - mpmath.mpf(p.xi)
     cp, sp = mpmath.cos(angle), mpmath.sin(angle)
     terms = (("m", "m", cp), ("p", "p", cp), ("m", "p", sp), ("p", "m", sp))

@@ -187,6 +187,17 @@ class TestGridCommand:
         assert code == 0 and out == ""
         assert target.read_text().startswith("u,v,value")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("extra", [["--basis", "xk"], ["--figure", "fig3", "--convention", "b4_pi4"]],
+                             ids=["xk", "fig3"])
+    def test_out_file_holds_the_stdout_bytes(self, fmt, extra, tmp_path, capsys):
+        argv = ["grid", "--a", "4", "--xi", "0.3", "--grid", "9x6", "--format", fmt] + extra
+        _, out, _ = run(argv, capsys)
+        target = tmp_path / f"grid.{fmt}"
+        code, stdout, _ = run(argv + ["--out", str(target)], capsys)
+        assert code == 0 and stdout == ""
+        assert target.read_bytes() == out.encode()
+
 
 class TestReportCommand:
     def test_json_sections(self, capsys):
@@ -284,6 +295,18 @@ class TestGoldenOutput:
         code, out, _ = run(argv, capsys)
         assert code == 0
         assert out == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("a, h, epsilon", [
+        ("10", "1", "-1.3618106938359116e-36"),
+        ("2", "2", "-1.0063957180864759e-35"),
+        ("3000", "0.05", "-1.6594471849284012e-35"),
+    ])
+    def test_epsilon_at_half_pi_is_correctly_rounded(self, a, h, epsilon, capsys):
+        # the only report digits the closed-form epsilon changed: at the adaptive precision the
+        # direct form printed -1.3618106938359096e-36, -1.006395718086476e-35 and -1.6594471849284009e-35
+        code, out, _ = run(["report", "--a", a, "--h1", h, "--h2", h, "--xi", "pi/2", "--format", "csv"], capsys)
+        assert code == 0
+        assert f"visibility,epsilon,{epsilon}" in out.splitlines()
 
 
 class TestDeterminism:

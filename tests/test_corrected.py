@@ -20,6 +20,7 @@ from pairvis import _mpcore
 from pairvis.corrected import _added_b4_mp, _pinned_constants_mp
 from pairvis.radon import marginal_k1, marginal_k2, splus_angle
 from pairvis.state import KK
+from test_mpcore import b2_mp, slit_exponentials, trig2
 
 PI = math.pi
 
@@ -42,14 +43,14 @@ def _pinned_constant_mp(params, sign, which, convention):
     """
     xi = mpmath.mpf(params.xi)
     cx, sx = mpmath.cos(xi), mpmath.sin(xi)
-    c2, _ = _mpcore.trig2(params.xi)
-    e1, e2 = _mpcore.slit_exponentials(params.a, params.h1, params.h2)
-    b2 = _mpcore.b2(params.a, params.h1, params.h2, params.xi)
+    c2, _ = trig2(params.xi)
+    e1, e2 = slit_exponentials(params.a, params.h1, params.h2)
+    b2 = b2_mp(params.a, params.h1, params.h2, params.xi)
     b4 = b2 * b2
     if convention == "b4_xi":
         b4_add = b4
     else:
-        b4_add = _mpcore.b2(params.a, params.h1, params.h2, PI / 4.0) ** 2
+        b4_add = b2_mp(params.a, params.h1, params.h2, PI / 4.0) ** 2
     if which == "minus":
         bracket = (cx - sign * sx) / 2
         c2a = c2b = mpmath.mpf(0)
@@ -140,7 +141,7 @@ class TestEnvelopes:
                 for h1, h2 in ((1.0, 1.0), (1.0, 2.0), (0.3, 1.7), (2.0, 2.0)):
                     for xi in (0.0, 0.3, PI / 4.0, 1.2, 2.5):
                         p = SetupParams(a, h1, h2, xi)
-                        scale = _mpcore.b2(a, h1, h2, xi) ** 2
+                        scale = b2_mp(a, h1, h2, xi) ** 2
                         pt = _mpcore.point(p)
                         b4_add = _added_b4_mp(p, pt, convention)
                         for sign in (1, -1):

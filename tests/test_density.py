@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -352,6 +353,29 @@ class TestDensity2D:
         assert list(payload) == ["grid", "basis", "params", "values"]
         assert list(payload["grid"]) == ["u_min", "u_max", "v_min", "v_max", "n_u", "n_v"]
         assert list(payload["params"]) == ["a", "h1", "h2", "xi"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writers_send_one_u_row_per_write(self, fmt):
+        p = SetupParams(4.0, 1.0, 2.0, 0.3)
+        field = Density2D.evaluate(p, KX, default_grid(p, KX, 5, 7))
+        chunks = []
+
+        class Recorder:
+            def write(self, text):
+                chunks.append(text)
+
+        getattr(field, f"write_{fmt}")(Recorder())
+        # the head, then one chunk per u-row (and the JSON's closing brackets)
+        assert len(chunks) == 1 + 5 + (fmt == "json")
+        assert "".join(chunks) == getattr(field, f"to_{fmt}_text")()
+
+    def test_json_text_is_one_dumps_of_the_whole_object(self):
+        p = SetupParams(4.0, 1.0, 2.0, 0.3)
+        special = [-0.0, 5e-324, 1e-300, 1e300, 0.1, float("nan"), float("inf")]
+        values = np.array([special[(i + j) % len(special)] for i in range(3) for j in range(5)])
+        field = Density2D(Grid2D(-1.5, 0.25, 1e-3, 7.0, 3, 5), KK, p, values.reshape(3, 5))
+        whole = {"grid": asdict(field.grid), "basis": "kk", "params": asdict(p), "values": field.values.tolist()}
+        assert field.to_json_text() == json.dumps(whole) + "\n"
 
     def test_custom_field_function_hook(self):
         p = SetupParams(4.0, 1.0, 1.0, 0.3)

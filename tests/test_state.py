@@ -24,6 +24,7 @@ from pairvis import (
 )
 from pairvis import _mpcore
 from pairvis.state import psi_entangled, psi_separable
+from test_mpcore import b2_mp
 
 PI = math.pi
 
@@ -123,7 +124,7 @@ class TestNormalizationConstant:
                 for h1, h2 in ((1.0, 1.0), (1.0, 2.0), (0.01, 5.0)):
                     for xi in xis:
                         p = SetupParams(float(a), h1, h2, xi)
-                        ref = _mpcore.b2(p.a, p.h1, p.h2, p.xi)
+                        ref = b2_mp(p.a, p.h1, p.h2, p.xi)
                         rel = abs((mpmath.mpf(normalization_b2(p)) - ref) / ref)
                         assert rel <= 1e-14, (p, float(rel))
 

@@ -18,7 +18,8 @@ from pairvis import (
 )
 from pairvis import _mpcore
 from pairvis.radon import OBSERVABLES, RadonAngle, _marginal_brace
-from pairvis.visibility import _envelope_table_mp, bound_mp, epsilon_mp
+from pairvis.visibility import _envelope_table_mp, _epsilon_closed_mp, _report_workdps, bound_mp, epsilon_mp
+from test_mpcore import trig2
 
 PI = math.pi
 
@@ -40,7 +41,7 @@ def _envelope_constants_mp(params, observable):
     a = mpmath.mpf(params.a)
     h1 = mpmath.mpf(params.h1)
     h2 = mpmath.mpf(params.h2)
-    c2, s2 = _mpcore.trig2(params.xi)
+    c2, s2 = trig2(params.xi)
     if observable in ("k1", "k2"):
         ho = h2 if observable == "k1" else h1
         e_other = mpmath.exp(-2 * a * ho * ho)
@@ -223,6 +224,65 @@ class TestComplementarityBound:
     def test_sum_rule_recomputable_from_reported_fields(self):
         rep = visibility_report(SetupParams(30.0, 1.0, 2.0, 0.3))
         assert 1.0 - rep.V ** 2 - rep.D ** 2 == pytest.approx(rep.epsilon, abs=1e-15)
+
+
+def _closed_form_lattice():
+    """a up to 1e3, h down to 0.05 (so q = e^{-2ag} > 1/2), and xi inside the case-2 windows."""
+    for a in (1e-3, 0.1, 2.0, 30.0, 1000.0):
+        for h1, h2 in ((1.0, 1.0), (1.0, 2.0), (0.3, 3.0), (0.05, 0.05)):
+            q = math.exp(-2.0 * a * (h1 * h2) ** 2 / (h1 * h1 + h2 * h2))
+            windows = [PI / 4.0 + t * q for t in (0.5, 1.5)] + [3.0 * PI / 4.0 - t * q for t in (0.5, 1.5)]
+            for xi in [0.3, PI / 8.0, PI / 2.0, 1.2, 2.9] + windows:
+                yield SetupParams(a, h1, h2, xi)
+
+
+def _closed_form_case(p):
+    """(whether N+ and N- differ in sign, whether q > 1/2) at p."""
+    with _mpcore.workdps():
+        pt = _mpcore.point(p)
+        q = bound_mp(pt) / 2
+        n_plus, n_minus = 1 + pt.s2 + 2 * pt.c2 * q, 1 - pt.s2 + 2 * pt.c2 * q
+        return n_plus * n_minus < 0, q > 0.5
+
+
+class TestClosedFormEpsilon:
+    """The report's epsilon, in closed form at the report's precision, against the direct form."""
+
+    def test_lattice_covers_both_cases(self):
+        cases = [_closed_form_case(p) for p in _closed_form_lattice()]
+        assert sum(differ for differ, _ in cases) >= 40
+        assert sum(differ and wide for differ, wide in cases) >= 10
+        assert sum(not differ and wide for differ, wide in cases) >= 10
+
+    @pytest.mark.parametrize("a", [1e-3, 0.1, 2.0, 30.0, 1000.0])
+    def test_matches_the_direct_form_with_60_more_digits(self, a):
+        for p in (p for p in _closed_form_lattice() if p.a == a):
+            with _mpcore.workdps(_mpcore.digits(p) + 60):
+                ref = epsilon_mp(_mpcore.point(p))
+            with _report_workdps(p):
+                pt = _mpcore.point(p)
+                eps = _epsilon_closed_mp(pt, bound_mp(pt) / 2)
+            with mpmath.workdps(400):
+                assert abs(eps - ref) <= mpmath.mpf("1e-40") * abs(ref), p
+
+    @pytest.mark.parametrize("p, epsilon", [
+        (SetupParams(10.0, 1.0, 1.0, PI / 2.0), -1.3618106938359116e-36),
+        (SetupParams(2.0, 2.0, 2.0, PI / 2.0), -1.0063957180864759e-35),
+        (SetupParams(3000.0, 0.05, 0.05, PI / 2.0), -1.6594471849284012e-35),
+    ])
+    def test_separable_neighbourhood_is_correctly_rounded(self, p, epsilon):
+        # at xi = fl(pi/2), epsilon carries sin^2 2xi ~ 1.5e-32; the direct form at the adaptive
+        # precision kept about 14 of its digits, and the closed form keeps them all
+        with mpmath.workdps(1000):
+            assert float(epsilon_mp(_mpcore.point(p))) == epsilon
+        assert epsilon_and_bound(p)[0] == epsilon
+        assert visibility_report(p).epsilon == epsilon
+
+    @pytest.mark.parametrize("p", [SetupParams(600.0, 1.0, 2.0, 0.3), SetupParams(600.0, 1.0, 2.0, 1.2)])
+    def test_deep_epsilon_takes_the_sign_of_cos_2xi(self, p):
+        eps, bound = epsilon_and_bound(p)
+        assert eps == bound == 0.0
+        assert math.copysign(1.0, eps) == math.copysign(1.0, math.cos(2.0 * p.xi))
 
 
 class TestReportInterface:
