@@ -6,13 +6,14 @@ Scalar closed forms are therefore evaluated with mpmath at 50 significant
 digits and rounded exactly once at the float boundary.
 
 Every scalar closed form is a function of a few per-point constants, which
-:func:`point` builds once per entry point, at that entry point's precision.
+:func:`point` and :func:`braces` build once per parameter point and precision,
+so the entry points evaluated at one point share them.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Optional
+from functools import lru_cache
 
 import mpmath
 
@@ -44,21 +45,49 @@ def workdps(params=None) -> mpmath.ctx_base.StandardBaseContext:
 # a, h1, h2, e_i = e^{-2a h_i^2}, cos xi, sin xi, cos 2xi, sin 2xi and B^2.
 Point = namedtuple("Point", "a h1 h2 e1 e2 cx sx c2 s2 b2")
 
+# The further exponentials of the diagonal visibility braces: q = e^{-2ag} with
+# g = h1^2 h2^2 / (h1^2 + h2^2), f_i = e^{-a h_i^2} and f-+ = e^{-a (h1 -+ h2)^2}.
+Braces = namedtuple("Braces", "q f1 f2 fm fp")
 
-def point(params, slits: Optional[Point] = None) -> Point:
+# A point's constants are shared by its entry points and by its xi = pi/4 reference, and a
+# sweep's points share their xi; keyed on the binary precision, so each entry point keeps its own.
+_CACHE = 8
+
+
+@lru_cache(maxsize=_CACHE)
+def _slits(a: float, h1: float, h2: float, prec: int) -> tuple:
+    a, h1, h2 = mpmath.mpf(a), mpmath.mpf(h1), mpmath.mpf(h2)
+    return a, h1, h2, mpmath.exp(-2 * a * h1 * h1), mpmath.exp(-2 * a * h2 * h2)
+
+
+@lru_cache(maxsize=_CACHE)
+def _angle(xi: float, prec: int) -> tuple:
+    # cos_sin costs one of cos, sin and gives the same bits as both
+    xi = mpmath.mpf(xi)
+    return mpmath.cos_sin(xi) + mpmath.cos_sin(2 * xi)
+
+
+def point(params) -> Point:
     """The record of ``params`` at the working precision.
 
-    ``slits`` is a record of the same (a, h1, h2) built at the same precision,
-    such as the record of the point whose xi = pi/4 reference this is; its
-    e^{-2a h_i^2} are reused instead of evaluated again.
+    Its slit exponentials and its trigonometric pairs are evaluated once per
+    (a, h1, h2) and per xi at each precision, and shared by every record that
+    has them: the three reports of one point and its xi = pi/4 reference build
+    e1 and e2 once, and a sweep's points build cos_sin(xi) once.
     """
-    a, h1, h2 = mpmath.mpf(params.a), mpmath.mpf(params.h1), mpmath.mpf(params.h2)
-    if slits is None:
-        e1, e2 = mpmath.exp(-2 * a * h1 * h1), mpmath.exp(-2 * a * h2 * h2)
-    else:
-        e1, e2 = slits.e1, slits.e2
-    # cos_sin costs one of cos, sin and gives the same bits as both
-    xi = mpmath.mpf(params.xi)
-    cx, sx = mpmath.cos_sin(xi)
-    c2, s2 = mpmath.cos_sin(2 * xi)
+    prec = mpmath.mp.prec
+    a, h1, h2, e1, e2 = _slits(params.a, params.h1, params.h2, prec)
+    cx, sx, c2, s2 = _angle(params.xi, prec)
     return Point(a, h1, h2, e1, e2, cx, sx, c2, s2, 2 / (1 + e1 * e2 + (e1 + e2) * c2))
+
+
+@lru_cache(maxsize=_CACHE)
+def _braces(a, h1, h2, prec: int) -> Braces:
+    g = (h1 * h2) ** 2 / (h1 * h1 + h2 * h2)
+    return Braces(mpmath.exp(-2 * a * g), mpmath.exp(-a * h1 * h1), mpmath.exp(-a * h2 * h2),
+                  mpmath.exp(-a * (h1 - h2) ** 2), mpmath.exp(-a * (h1 + h2) ** 2))
+
+
+def braces(pt: Point) -> Braces:
+    """The brace exponentials of the record ``pt``, once per (a, h1, h2) at the working precision."""
+    return _braces(pt.a, pt.h1, pt.h2, mpmath.mp.prec)

@@ -108,7 +108,7 @@ def _added_b4_mp(params: SetupParams, pt: _mpcore.Point, convention: str):
     """B^4 of the added term under ``convention``, from the record ``pt`` of ``params``."""
     if convention == "b4_xi":
         return pt.b2 * pt.b2
-    return _mpcore.point(params.with_xi(PI / 4.0), slits=pt).b2 ** 2
+    return _mpcore.point(params.with_xi(PI / 4.0)).b2 ** 2
 
 
 def _pinned_constants_mp(pt: _mpcore.Point, sign: int, b4_add) -> tuple:

@@ -90,9 +90,9 @@ def _correlations_mp(params: SetupParams, pt: _mpcore.Point) -> tuple:
     """(rho_x, rho_k, R, S, rho_k at xi = pi/4) from the record ``pt`` of ``params``.
 
     R and S normalize |rho| by its value at the maximally entangled reference
-    ``params.with_xi(pi/4)``, whose record reuses pt's slit exponentials.
+    ``params.with_xi(pi/4)``, whose record shares pt's slit exponentials.
     """
-    ref = _mpcore.point(params.with_xi(PI / 4.0), slits=pt)
+    ref = _mpcore.point(params.with_xi(PI / 4.0))
     rx, rk = _rho_mp(_moments_x_mp(pt)), _rho_mp(_moments_k_mp(pt))
     rx_ref, rk_ref = _rho_mp(_moments_x_mp(ref)), _rho_mp(_moments_k_mp(ref))
     return rx, rk, abs(rx) / abs(rx_ref), abs(rk) / abs(rk_ref), rk_ref

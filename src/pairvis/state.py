@@ -204,8 +204,7 @@ def axis_factors(a: float, h: float, axis: Axis, x) -> tuple[np.ndarray, np.ndar
 def _line_frequencies(params: SetupParams, c, sn) -> tuple:
     """(A1, B1, A2, B2) with h1 k1 + h2 k2 = A1 s + B1 t and h1 k1 - h2 k2 = A2 s + B2 t.
 
-    On the rotated line k1 = s c - t sn, k2 = s sn + t c with (c, sn) = (cos phi, sin phi),
-    given as floats with ``SetupParams`` or as mpmath numbers with an ``_mpcore.point`` record.
+    On the rotated line k1 = s c - t sn, k2 = s sn + t c with (c, sn) = (cos phi, sin phi).
     """
     h1, h2 = params.h1, params.h2
     return h1 * c + h2 * sn, h2 * c - h1 * sn, h1 * c - h2 * sn, -h1 * sn - h2 * c

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _mpcore
 from .radon import OBSERVABLES, RadonAngle, _marginal_brace, marginal_at
-from .state import PI, Report, SetupParams, _line_frequencies, _slits_equal, normalization_b2
+from .state import PI, Report, SetupParams, _slits_equal, normalization_b2
 
 __all__ = [
     "PinCheckResult",
@@ -50,6 +50,24 @@ _PINS = {
     "s-": ((1, -1), (4, -4)),
 }
 _COS_HALF_PI = (1, 0, -1, 0)  # cos(n π/2) for n mod 4
+# cos 2(θ1 + θ2), cos 2(θ1 - θ2), cos 2θ1 and cos 2θ2 at each pin: 1, 0 or -1
+_PIN_COSINES = {
+    obs: tuple(tuple(_COS_HALF_PI[n % 4] for n in (p1 + p2, p1 - p2, p1, p2)) for p1, p2 in pins)
+    for obs, pins in _PINS.items()
+}
+
+
+def _brace_exponentials(pt: _mpcore.Point, observable: str) -> tuple:
+    """(E1, E2, E3, E4) of ``observable``'s brace from the point's constants; see :func:`_envelope_table_mp`."""
+    if observable == "k1":
+        return pt.e2, pt.e2, 1, pt.e2
+    if observable == "k2":
+        return pt.e1, pt.e1, pt.e1, 1
+    br = _mpcore.braces(pt)
+    if observable in ("k+", "k-"):
+        return (br.fm, br.fp, br.f1, br.f2) if observable == "k+" else (br.fp, br.fm, br.f1, br.f2)
+    q4 = br.q ** 4
+    return (1, q4, br.q, br.q) if observable == "s+" else (q4, 1, br.q, br.q)
 
 
 def _envelope_table_mp(pt: _mpcore.Point, observables=OBSERVABLES) -> dict:
@@ -61,27 +79,22 @@ def _envelope_table_mp(pt: _mpcore.Point, observables=OBSERVABLES) -> dict:
             + cos 2xi/2 (E3 cos 2θ1 + E4 cos 2θ2),
 
     E1 = e^{-2a B1^2}, E2 = e^{-2a B2^2}, E3 = e^{-a(B1+B2)^2/2}, E4 = e^{-a(B1-B2)^2/2}.
-    The envelopes are the marginal's prefactor times this brace at the pins of ``_PINS``.
+    Along the six directions these are exponentials of the point alone, e_i = e^{-2a h_i^2}
+    from :func:`_mpcore.point` and the rest from :func:`_mpcore.braces`:
+    k1 reads (e2, e2, 1, e2), k2 (e1, e1, e1, 1), k+ (e^{-a(h1-h2)^2}, e^{-a(h1+h2)^2},
+    e^{-a h1^2}, e^{-a h2^2}), k- the same with its first two swapped, s+ (1, q^4, q, q)
+    and s- (q^4, 1, q, q), q = e^{-2ag}.  The envelopes are the marginal's prefactor times
+    this brace at the pins of ``_PINS``; each brace sums its terms of nonzero pinned cosine
+    with ``fsum``, exactly, so k+ and k- (and s+ and s-) agree to the bit where sin 2xi = 0.
     """
-    a = pt.a
-    w1, w2, w3 = (1 + pt.s2) / 4, (1 - pt.s2) / 4, pt.c2 / 2
+    weights = ((1 + pt.s2) / 4, (1 - pt.s2) / 4, pt.c2 / 2, pt.c2 / 2)
     half = mpmath.mpf(1) / 2
-    r = mpmath.sqrt(half)
-    rh = mpmath.hypot(pt.h1, pt.h2)
-    one, zero = mpmath.mpf(1), mpmath.mpf(0)
-    directions = {"k1": (one, zero), "k2": (zero, one), "k+": (r, r), "k-": (r, -r),
-                  "s+": (pt.h1 / rh, pt.h2 / rh), "s-": (pt.h1 / rh, -pt.h2 / rh)}
     table = {}
     for observable in observables:
-        _, b1, _, b2 = _line_frequencies(pt, *directions[observable])
-        e1 = w1 * mpmath.exp(-2 * a * b1 * b1)
-        e2 = w2 * mpmath.exp(-2 * a * b2 * b2)
-        e3 = w3 * mpmath.exp(-a * (b1 + b2) ** 2 / 2)
-        e4 = w3 * mpmath.exp(-a * (b1 - b2) ** 2 / 2)
+        terms = tuple(w * e for w, e in zip(weights, _brace_exponentials(pt, observable)))
         table[observable] = tuple(
-            mpmath.fsum((half, e1 * _COS_HALF_PI[(p1 + p2) % 4], e2 * _COS_HALF_PI[(p1 - p2) % 4],
-                         e3 * _COS_HALF_PI[p1 % 4], e4 * _COS_HALF_PI[p2 % 4]))
-            for p1, p2 in _PINS[observable]
+            mpmath.fsum((half,) + tuple(t if cos > 0 else -t for t, cos in zip(terms, cosines) if cos))
+            for cosines in _PIN_COSINES[observable]
         )
     return table
 
@@ -114,8 +127,8 @@ def epsilon_mp(pt: _mpcore.Point):
 
 
 def bound_mp(pt: _mpcore.Point):
-    g = (pt.h1 * pt.h2) ** 2 / (pt.h1 * pt.h1 + pt.h2 * pt.h2)
-    return 2 * mpmath.exp(-2 * pt.a * g)
+    """2 e^{-2ag}: twice the q that the s+- braces and the closed-form epsilon read."""
+    return 2 * _mpcore.braces(pt).q
 
 
 def _epsilon_closed_mp(pt: _mpcore.Point, q):

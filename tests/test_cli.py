@@ -290,6 +290,11 @@ class TestGoldenOutput:
                                     "--format", "csv"]),
         ("sweep_h1-2_xi0.3_a2-30_n16", ["sweep", "--h1", "1", "--h2", "2", "--xi", "0.3", "--sweep-start", "2",
                                         "--sweep-stop", "30", "--sweep-count", "16", "--format", "csv"]),
+        # the three reports of each point share one 50-digit record
+        ("sweep_fig4_xi0.7", ["sweep", "--figure", "fig4", "--xi", "0.7", "--format", "csv"]),
+        # the visibility report at the 345-digit cap, the other two at 50 digits
+        ("report_a10000_h1-2_xi0.3", ["report", "--a", "10000", "--h1", "1", "--h2", "2", "--xi", "0.3",
+                                      "--format", "csv"]),
     ])
     def test_csv_stdout_matches_golden_file(self, name, argv, capsys):
         code, out, _ = run(argv, capsys)

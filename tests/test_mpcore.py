@@ -40,6 +40,13 @@ POINTS = [
 ]
 
 
+def _fresh(build):
+    """``build()`` with the memoized slit, angle and brace constants evaluated anew."""
+    for cached in (_mpcore._slits, _mpcore._angle, _mpcore._braces):
+        cached.cache_clear()
+    return build()
+
+
 class TestPoint:
     @pytest.mark.parametrize("p", POINTS)
     def test_matches_the_single_purpose_forms_bit_for_bit(self, p):
@@ -51,12 +58,43 @@ class TestPoint:
                 assert (pt.c2, pt.s2) == trig2(p.xi)
                 assert (pt.cx, pt.sx) == (mpmath.cos(p.xi), mpmath.sin(p.xi))
                 assert pt.b2 == b2_mp(p.a, p.h1, p.h2, p.xi)
+                br = _mpcore.braces(pt)
+                a, h1, h2 = pt.a, pt.h1, pt.h2
+                assert br.q == mpmath.exp(-2 * a * ((h1 * h2) ** 2 / (h1 * h1 + h2 * h2)))
+                assert (br.f1, br.f2) == (mpmath.exp(-a * h1 * h1), mpmath.exp(-a * h2 * h2))
+                assert (br.fm, br.fp) == (mpmath.exp(-a * (h1 - h2) ** 2), mpmath.exp(-a * (h1 + h2) ** 2))
 
     @pytest.mark.parametrize("p", POINTS[::5])
     def test_reused_slit_exponentials_give_the_fresh_record(self, p):
-        with _mpcore.workdps():
-            ref = p.with_xi(PI / 4.0)
-            assert _mpcore.point(ref, slits=_mpcore.point(p)) == _mpcore.point(ref)
+        # the xi = pi/4 reference shares p's slit exponentials, and each precision has its own
+        def records():
+            return [(_mpcore.point(q), _mpcore.braces(_mpcore.point(q))) for q in (p, p.with_xi(PI / 4.0))]
+
+        for context in (_mpcore.workdps(), _mpcore.workdps(p)):
+            with context:
+                cached = records()
+                assert records() == cached and _fresh(records) == cached
+
+    @pytest.mark.parametrize("entry", [visibility_report, corrected_f, complementarity_sums])
+    def test_each_entry_point_builds_one_record(self, monkeypatch, entry):
+        # every record an entry point reads, at the precision it read it, equals one built afresh
+        p = SetupParams(30.0, 1.0, 2.0, 0.3)
+        entry(p)
+        read = []
+        point = _mpcore.point
+
+        def recorded(params):
+            pt = point(params)
+            read.append((params, mpmath.mp.prec, pt))
+            return pt
+
+        monkeypatch.setattr(_mpcore, "point", recorded)
+        entry(p)
+        monkeypatch.undo()
+        assert read
+        for params, prec, pt in read:
+            with mpmath.workprec(prec):
+                assert _fresh(lambda: _mpcore.point(params)) == pt
 
 
 def _count_calls(monkeypatch, module, names):
@@ -74,31 +112,34 @@ def _count_calls(monkeypatch, module, names):
 
 @pytest.mark.parametrize("convention", ["b4_xi", "b4_pi4"])
 def test_one_report_evaluates_few_transcendentals(monkeypatch, convention):
-    # one report's three scalar families: 85 exp, 22 cos and 22 sin calls before
-    # they shared the record and the table evaluated only the observables read
+    # one report's three scalar families: 85 exp, 22 cos and 22 sin calls before they shared
+    # the record, 39 exp calls before the braces read the point's exponentials and the
+    # records were shared; now e1, e2 and the five brace exponentials at the report's
+    # 160 digits, and e1, e2 at 50
     p = SetupParams(30.0, 1.0, 2.0, 0.3)
     counts = _count_calls(monkeypatch, mpmath, ("exp", "cos", "sin", "cos_sin"))
-    visibility_report(p)
-    corrected_f(p, convention)
-    complementarity_sums(p)
-    assert counts["exp"] <= 40, counts
+    _fresh(lambda: (visibility_report(p), corrected_f(p, convention), complementarity_sums(p)))
+    assert counts["exp"] <= 12, counts
     # a cos_sin call evaluates both
     assert counts["cos"] + counts["cos_sin"] <= 10 and counts["sin"] + counts["cos_sin"] <= 10, counts
 
 
-@pytest.mark.parametrize("entry", [visibility_report, corrected_f, complementarity_sums])
-def test_each_entry_point_builds_one_record(monkeypatch, entry):
-    built = []
-    point = _mpcore.point
+@pytest.mark.parametrize("convention", ["b4_xi", "b4_pi4"])
+def test_three_reports_at_a_50_digit_point_evaluate_the_slit_exponentials_once(monkeypatch, convention):
+    p = SetupParams(5.0, 1.0, 1.5, 0.7)
+    assert _mpcore.digits(p) == _mpcore.DPS
+    arguments = []
+    exp = mpmath.exp
 
-    def recorded(params, slits=None):
-        built.append(slits)
-        return point(params, slits)
+    def recorded(x):
+        arguments.append(x)
+        return exp(x)
 
-    monkeypatch.setattr(_mpcore, "point", recorded)
-    entry(SetupParams(30.0, 1.0, 2.0, 0.3))
-    # further records (the xi = pi/4 reference) reuse the first one's exponentials
-    assert built[0] is None and all(slits is not None for slits in built[1:])
+    monkeypatch.setattr(mpmath, "exp", recorded)
+    _fresh(lambda: (visibility_report(p), corrected_f(p, convention), complementarity_sums(p)))
+    with _mpcore.workdps():
+        a, h1, h2 = mpmath.mpf(p.a), mpmath.mpf(p.h1), mpmath.mpf(p.h2)
+        assert arguments.count(-2 * a * h1 * h1) == 1 and arguments.count(-2 * a * h2 * h2) == 1, arguments
 
 
 @pytest.mark.parametrize("entry", [visibility_report, epsilon_and_bound])
@@ -110,9 +151,9 @@ def test_report_entry_points_run_at_most_345_digits(monkeypatch, entry, a):
     seen = []
     point = _mpcore.point
 
-    def recorded(params, slits=None):
+    def recorded(params):
         seen.append(mpmath.mp.dps)
-        return point(params, slits)
+        return point(params)
 
     monkeypatch.setattr(_mpcore, "point", recorded)
     entry(p)

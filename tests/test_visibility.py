@@ -109,8 +109,11 @@ class TestEnvelopeTable:
 
     @pytest.mark.parametrize("h1, h2", [(1.0, 2.0), (0.3, 1.7), (2.0, 2.0)])
     def test_product_state_is_exact(self, h1, h2):
-        rep = visibility_report(SetupParams(2.0, h1, h2, 0.0))
-        assert rep.V == 1.0 and rep.D == 0.0 and rep.epsilon == 0.0
+        for a in (2.0, 30.0, 600.0):
+            rep = visibility_report(SetupParams(a, h1, h2, 0.0))
+            assert rep.V == 1.0 and rep.D == 0.0 and rep.epsilon == 0.0
+            # sin 2xi = 0 weighs the k+ and k- braces' terms alike, and fsum adds them exactly
+            assert rep.W == 0.0 and rep.v_kplus == rep.v_kminus
 
 
 class TestEnvelopes:
