@@ -111,10 +111,16 @@ def _added_b4_mp(params: SetupParams, pt: _mpcore.Point, convention: str):
     return _mpcore.point(params.with_xi(PI / 4.0)).b2 ** 2
 
 
-def _pinned_constants_mp(pt: _mpcore.Point, sign: int, b4_add) -> tuple:
-    """Brace constants (env-, env+, env0) of the corrected slice after phase pinning."""
+def _pinned_constants_mp(pt: _mpcore.Point, b4_add) -> tuple:
+    """Brace constants (env-, env+, env0) of the corrected s+ slice after phase pinning.
+
+    The s- slice has the same three constants with env- and env+ exchanged:
+    at the first two pins only t1 = B^2 (cc cos xi - sign ss sin xi)^2 depends
+    on the sign, and flipping it maps one pin's t1 onto the other's, while env0
+    is even in the sign.
+    """
     consts = (pt.b2, pt.b2 * pt.b2, b4_add, pt.cx, pt.sx, pt.c2, pt.e1, pt.e2)
-    return tuple(_slice_bracket(consts, sign, *pin) for pin in _SLICE_PINS)
+    return tuple(_slice_bracket(consts, 1, *pin) for pin in _SLICE_PINS)
 
 
 @dataclass(frozen=True)
@@ -129,16 +135,18 @@ class CorrectedReport(Report):
 
 
 def _corrected_vis_mp(params: SetupParams, pt: _mpcore.Point, convention: str) -> tuple:
-    """(V(s+), V(s-)) of the corrected slices: the contrast of the active envelope pair for each sign."""
-    b4_add = _added_b4_mp(params, pt, convention)
-    equal = _slits_equal(params)
+    """(V(s+), V(s-)) of the corrected slices: the contrast of the active envelope pair for each sign.
+
+    The s- pair is the s+ pair with env- and env+ exchanged, so unequal slits
+    have one contrast for both signs and equal slits two.
+    """
+    k_minus, k_plus, k_zero = _pinned_constants_mp(pt, _added_b4_mp(params, pt, convention))
+    pairs = ((k_zero, k_minus), (k_zero, k_plus)) if _slits_equal(params) else ((k_plus, k_minus),)
     vis = []
-    for sign in (1, -1):
-        k_minus, k_plus, k_zero = _pinned_constants_mp(pt, sign, b4_add)
-        k_other = k_zero if equal else k_plus
-        denom = k_other + k_minus
-        vis.append(mpmath.mpf(0) if denom == 0 else abs(k_other - k_minus) / denom)
-    return tuple(vis)
+    for upper, lower in pairs:
+        denom = upper + lower
+        vis.append(mpmath.mpf(0) if denom == 0 else abs(upper - lower) / denom)
+    return vis[0], vis[-1]
 
 
 def corrected_f(params: SetupParams, convention: str = "b4_xi") -> CorrectedReport:

@@ -76,20 +76,20 @@ def density_at(params: SetupParams, basis: BasisPair, u, v, phi: float = 0.0) ->
     When ``u`` and ``v`` broadcast as an outer product (a row of u against a
     column of v, as on grids and quadrature blocks), the density is built from
     per-axis tables of psi = alpha E1(u) E2(v) + beta O1(u) O2(v), so a node
-    costs a few multiplications.  At ``phi != 0`` the Radon line mesh of an
-    (n, 1) column of s against a (1, m) row of t takes the rank-4
-    rotated-frame tables of :func:`line_factors` in the pure bases.  Any other
-    layout (slices, mixed bases at ``phi != 0``) evaluates psi point by point.
+    costs a few multiplications.  At ``phi != 0`` the kk Radon line mesh of
+    an (n, 1) column of s against a (1, m) row of t takes the rank-4
+    rotated-frame tables of :func:`line_factors`.  Any other layout at
+    ``phi != 0`` (slices, other bases) evaluates psi point by point.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if phi != 0.0:
         line_mesh = u.ndim == v.ndim == 2 and u.shape[1] == 1 and v.shape[0] == 1
-        if basis.is_mixed or not line_mesh:
+        if basis != KK or not line_mesh:
             c, sn = math.cos(phi), math.sin(phi)
             amp = psi(params, basis, u * c - v * sn, u * sn + v * c)
             return amp.real * amp.real + amp.imag * amp.imag
-        s_tab, t_tab = line_factors(params, basis, phi, u, v)
+        s_tab, t_tab = line_factors(params, phi, u, v)
         amp = s_tab @ t_tab
         amp *= amp
         return amp

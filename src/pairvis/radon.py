@@ -14,7 +14,7 @@ import numpy as np
 
 from .density import basis_domains, basis_panel_hints, integrate_1d_batch
 from .density import density_at
-from .state import KK, PI, BasisPair, SetupParams, _line_frequencies, normalization_b2
+from .state import KK, PI, SetupParams, _line_frequencies, normalization_b2
 
 
 OBSERVABLES = ("k1", "k2", "k+", "k-", "s+", "s-")
@@ -103,25 +103,19 @@ class Marginal1D:
     values: np.ndarray
 
 
-def radon_numeric(
-    params: SetupParams,
-    phi,
-    s_axis: np.ndarray,
-    basis: BasisPair = KK,
-    tol: float = 1e-10,
-) -> Marginal1D:
-    """Line-integral marginal along angle phi, via batched 1d quadrature."""
+def radon_numeric(params: SetupParams, phi, s_axis: np.ndarray, tol: float = 1e-10) -> Marginal1D:
+    """Line-integral marginal of the wavenumber density along angle phi, via batched 1d quadrature."""
     angle = _as_angle(phi)
     s = np.asarray(s_axis, dtype=float)
-    (u_lo, u_hi), (v_lo, v_hi) = basis_domains(params, basis)
+    (u_lo, u_hi), (v_lo, v_hi) = basis_domains(params, KK)
     # the rotated line can traverse the corner of the rectangular domain
     half = math.sqrt(2.0) * max(u_hi, v_hi)
-    pu, pv = basis_panel_hints(params, basis)
+    pu, pv = basis_panel_hints(params, KK)
     widths = ((u_hi - u_lo) / pu, (v_hi - v_lo) / pv)
     panels = int(math.ceil(2.0 * half / min(widths)))
 
     def along_line(t: np.ndarray) -> np.ndarray:
-        return density_at(params, basis, s[:, None], t[None, :], phi=angle.phi)
+        return density_at(params, KK, s[:, None], t[None, :], phi=angle.phi)
 
     values = integrate_1d_batch(along_line, -half, half, tol=tol, min_panels=panels)
     return Marginal1D(observable=angle.label, phi=angle.phi, s=s, values=values)

@@ -210,40 +210,23 @@ def _line_frequencies(params: SetupParams, c, sn) -> tuple:
     return h1 * c + h2 * sn, h2 * c - h1 * sn, h1 * c - h2 * sn, -h1 * sn - h2 * c
 
 
-def line_factors(
-    params: SetupParams, basis: BasisPair, phi: float, s, t
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-4 tables of the amplitude on a rotated (s, t) mesh, pure bases only.
+def line_factors(params: SetupParams, phi: float, s, t) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-4 tables of the wavenumber amplitude on a rotated (s, t) mesh.
 
     Returns S of shape (len(s), 4) and T of shape (4, len(t)) with
-    ``psi(s cos(phi) - t sin(phi), s sin(phi) + t cos(phi)) = S @ T``.  A
-    rotation keeps distances and maps linear phases to linear phases, so:
-
-    - wavenumber: the envelope splits as e^{-s^2/4a} e^{-t^2/4a} and each
-      branch cosine cos(h1 k1 +/- h2 k2) becomes cos(A s + B t), split into
-      cos cos - sin sin;
-    - position: each of the four shifted-Gaussian products is e^{-a(s - s0)^2}
-      e^{-a(t - t0)^2} about its slit centre (s0, t0) in the rotated frame.
+    ``psi(s cos(phi) - t sin(phi), s sin(phi) + t cos(phi)) = S @ T`` in the kk
+    basis.  A rotation keeps distances and maps linear phases to linear
+    phases: the envelope splits as e^{-s^2/4a} e^{-t^2/4a} and each branch
+    cosine cos(h1 k1 +/- h2 k2) becomes cos(A s + B t), split into
+    cos cos - sin sin.
     """
-    if basis.is_mixed:
-        raise UnsupportedBasisError("rotated factor tables are defined for pure bases only")
     s = np.asarray(s, dtype=float).ravel()
     t = np.asarray(t, dtype=float).ravel()
     a = params.a
-    b = math.sqrt(normalization_b2(params))
     cp = math.cos(PI / 4.0 - params.xi)
     sp = math.sin(PI / 4.0 - params.xi)
     a1, b1, a2, b2 = _line_frequencies(params, math.cos(phi), math.sin(phi))
-    if basis.first is Axis.POSITION:
-        pref = math.sqrt(a / (2.0 * PI)) * b
-        # the slit centres (h1, h2), (-h1, -h2), (h1, -h2), (-h1, h2) in the (s, t) frame
-        s0 = np.array([a1, -a1, a2, -a2])
-        t0 = np.array([b1, -b1, b2, -b2])
-        weights = pref * np.array([cp, cp, sp, sp])
-        s_tab = weights * np.exp(-a * (s[:, None] - s0) ** 2)
-        t_tab = np.exp(-a * (t[None, :] - t0[:, None]) ** 2)
-        return s_tab, t_tab
-    pref = b / math.sqrt(2.0 * a * PI)
+    pref = math.sqrt(normalization_b2(params)) / math.sqrt(2.0 * a * PI)
     s_env = pref * np.exp(-s * s / (4.0 * a))
     t_env = np.exp(-t * t / (4.0 * a))
     s_tab = np.stack(

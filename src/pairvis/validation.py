@@ -76,9 +76,9 @@ def _decomposition_dev(params_list: Iterable[SetupParams]) -> float:
 
     The second half compares ``density_at`` on a row of u against a column of
     v (per-axis factor tables) with |psi|^2 on the matching meshgrid, and
-    ``density_at`` on 51 x 200 Radon line meshes at two seeded generic angles
-    in the pure bases (rotated-frame tables) with |psi|^2 at the rotated
-    coordinates, 10,200 psi points per mesh.
+    ``density_at`` on 51 x 200 kk Radon line meshes at two seeded generic
+    angles (rotated-frame tables) with |psi|^2 at the rotated coordinates,
+    10,200 psi points per mesh.
     """
     rng = np.random.default_rng(20260826)
     line_rng = np.random.default_rng(20261018)
@@ -97,18 +97,17 @@ def _decomposition_dev(params_list: Iterable[SetupParams]) -> float:
             pointwise = amp.real * amp.real + amp.imag * amp.imag
             factored = density.density_at(params, basis, u[:, None], v[None, :])
             worst = max(worst, float(np.max(np.abs(factored - pointwise))))
-        for basis in (XX, KK):
-            (_, hi1), (_, hi2) = density.basis_domains(params, basis)
-            half = math.sqrt(2.0) * max(hi1, hi2)
-            # generic angles: away from 0 and +-pi/2, where the rotation degenerates
-            for phi in line_rng.uniform(0.1, PI / 2.0 - 0.1, 2) * line_rng.choice((-1.0, 1.0), 2):
-                s = line_rng.uniform(-half, half, 51)[:, None]
-                t = line_rng.uniform(-half, half, 200)[None, :]
-                c, sn = math.cos(phi), math.sin(phi)
-                amp = psi(params, basis, s * c - t * sn, s * sn + t * c)
-                pointwise = amp.real * amp.real + amp.imag * amp.imag
-                factored = density.density_at(params, basis, s, t, phi=phi)
-                worst = max(worst, float(np.max(np.abs(factored - pointwise))))
+        (_, hi1), (_, hi2) = density.basis_domains(params, KK)
+        half = math.sqrt(2.0) * max(hi1, hi2)
+        # generic angles: away from 0 and +-pi/2, where the rotation degenerates
+        for phi in line_rng.uniform(0.1, PI / 2.0 - 0.1, 2) * line_rng.choice((-1.0, 1.0), 2):
+            s = line_rng.uniform(-half, half, 51)[:, None]
+            t = line_rng.uniform(-half, half, 200)[None, :]
+            c, sn = math.cos(phi), math.sin(phi)
+            amp = psi(params, KK, s * c - t * sn, s * sn + t * c)
+            pointwise = amp.real * amp.real + amp.imag * amp.imag
+            factored = density.density_at(params, KK, s, t, phi=phi)
+            worst = max(worst, float(np.max(np.abs(factored - pointwise))))
     return worst
 
 

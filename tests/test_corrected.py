@@ -71,7 +71,7 @@ def _slice_above_env0(p):
     """|s| where the s+ slice exceeds env0 by more than 1e-12 of its peak."""
     with _mpcore.workdps():
         pt = _mpcore.point(p)
-        k_zero = float(_pinned_constants_mp(pt, 1, _added_b4_mp(p, pt, "b4_xi"))[2])
+        k_zero = float(_pinned_constants_mp(pt, _added_b4_mp(p, pt, "b4_xi"))[2])
     half = 10.0 * math.sqrt(p.a)
     s = np.linspace(-half, half, 4001)
     slice_vals = corrected_slice_spm(p, 1, s)
@@ -143,9 +143,9 @@ class TestEnvelopes:
                         p = SetupParams(a, h1, h2, xi)
                         scale = b2_mp(a, h1, h2, xi) ** 2
                         pt = _mpcore.point(p)
-                        b4_add = _added_b4_mp(p, pt, convention)
-                        for sign in (1, -1):
-                            pinned = _pinned_constants_mp(pt, sign, b4_add)
+                        k_minus, k_plus, k_zero = _pinned_constants_mp(pt, _added_b4_mp(p, pt, convention))
+                        # the s- slice's constants are the s+ slice's with env- and env+ exchanged
+                        for sign, pinned in ((1, (k_minus, k_plus, k_zero)), (-1, (k_plus, k_minus, k_zero))):
                             for which, value in zip(("minus", "plus", "zero"), pinned):
                                 ref = _pinned_constant_mp(p, sign, which, convention)
                                 assert abs(value - ref) <= 1e-40 * scale, (p, sign, which)
@@ -202,6 +202,16 @@ class TestVisibilityF:
         p_uneq = SetupParams(50.0, 1.0, 2.0, 0.7)
         v = visibility_report(p_uneq).V
         assert v * v + corrected_f(p_uneq).F ** 2 == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("convention", ["b4_xi", "b4_pi4"])
+    def test_unequal_slits_give_one_contrast_for_both_signs(self, convention):
+        # the s- envelope pair is the s+ pair exchanged, and the contrast is symmetric in it
+        for a in (1e-6, 0.05, 2.0, 30.0, 1e4):
+            for h1, h2 in ((1.0, 2.0), (0.3, 1.7), (2.0, 0.7), (1.0, 1.0 + 1e-9)):
+                for xi in (0.0, 0.3, PI / 4.0, 1.2, PI / 2.0, 2.5):
+                    r = corrected_f(SetupParams(a, h1, h2, xi), convention)
+                    assert not r.equality_mode
+                    assert r.v_splus == r.v_sminus == r.F, (a, h1, h2, xi)
 
     def test_separable_angle_gives_zero_f(self):
         assert corrected_f(SetupParams(6.0, 1.0, 2.0, 0.0)).F == pytest.approx(0.0, abs=1e-15)

@@ -35,6 +35,16 @@ params_st = st.builds(
 )
 
 
+def _overshoot_bound(p):
+    """Twice the leading-order sup over xi of S - 1 at equal slits h, taken at the narrower slit.
+
+    With e = e^{-2ah^2}, |rho_k| grows past its xi = pi/4 value while the
+    denominator 1 + ec(2 - 4ah^2) + e^2(1 - 4ah^2) falls with c = cos 2xi, and
+    sup S - 1 = e^2 (4ah^2 - 2)^2 / 2 to leading order.
+    """
+    return max(math.exp(-4.0 * p.a * h * h) * (4.0 * p.a * h * h - 2.0) ** 2 for h in (p.h1, p.h2))
+
+
 def _quad_moment(p, basis, weight, tol=1e-10):
     ub, vb = basis_domains(p, basis)
     hints = basis_panel_hints(p, basis)
@@ -120,15 +130,27 @@ class TestNormalizedMeasures:
     @settings(max_examples=40, deadline=None)
     def test_bounded(self, p):
         # rho_x obeys Cauchy-Schwarz everywhere; R and S are ratios against
-        # the xi = pi/4 reference and can exceed 1 outside the narrow-slit
-        # regime, so the unit upper bound is only asserted there.
+        # the xi = pi/4 reference and can exceed 1: without limit outside the
+        # narrow-slit regime, by at most _overshoot_bound inside it.
         sums = complementarity_sums(p)
         assert -1.0 - 1e-14 <= sums.rho_x <= 1.0 + 1e-14
         assert sums.R >= 0.0
         assert sums.S >= 0.0
         if not p.regime_warning:
-            assert sums.R <= 1.0 + 1e-14
-            assert sums.S <= 1.0 + 1e-14
+            assert sums.R <= 1.0 + _overshoot_bound(p) + 1e-14
+            assert sums.S <= 1.0 + _overshoot_bound(p) + 1e-14
+
+    @pytest.mark.parametrize("h1, h2", [(1.0, 1.0), (1.0, 2.0), (1.5, 1.0)])
+    @pytest.mark.parametrize("a", [2.0, 3.0])
+    def test_overshoot_sup_lies_below_its_bound(self, a, h1, h2):
+        # the sup of R and S over a dense xi scan: above 1 inside the regime, below the bound
+        p = SetupParams(a, h1, h2)
+        sums = [complementarity_sums(p.with_xi(xi)) for xi in np.linspace(0.0, PI, 721)]
+        sup = max(max(c.R, c.S) for c in sums) - 1.0
+        assert 0.0 < sup <= _overshoot_bound(p)
+        if h1 == h2:
+            # the leading order is sharp at equal slits: the sup is half the bound
+            assert sup >= 0.45 * _overshoot_bound(p)
 
     def test_rho_x_tends_to_one_at_high_squeezing(self):
         # convergence is polynomial: rho_x ~ 1 - 1/(8 a h^2) at xi = pi/4
