@@ -21,6 +21,8 @@ DPS = 50
 
 
 _LOG10_E = 0.4342944819032518
+# more digits than any caller can afford; a scale that overflows float64 to inf gets these
+_MAX_DIGITS = 10**6
 
 
 def digits(params=None) -> int:
@@ -29,11 +31,13 @@ def digits(params=None) -> int:
     50 digits, raised when ``params`` is given so that quantities of order
     e^{-2a(h1^2+h2^2)} -- the smallest scale appearing in the closed forms --
     stay comfortably above the cancellation noise of the direct 1 - V^2 - D^2.
+    The count is clamped at ``_MAX_DIGITS``, so it stays an int where
+    a (h1^2 + h2^2) overflows float64; callers cap it lower in turn.
     """
     if params is None:
         return DPS
     scale = 2.0 * params.a * (params.h1 * params.h1 + params.h2 * params.h2)
-    return max(DPS, 30 + int(scale * _LOG10_E))
+    return max(DPS, 30 + int(min(scale * _LOG10_E, _MAX_DIGITS)))
 
 
 def workdps(params=None) -> mpmath.ctx_base.StandardBaseContext:

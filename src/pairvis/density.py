@@ -5,10 +5,12 @@ package: composite Gauss-Legendre panels, refined by doubling the panel count
 until two successive estimates agree within the requested tolerance.  One
 refinement loop, ``_refine``, serves both rules: the batched line rule
 :func:`integrate_1d_batch` and the tensor-product :func:`quadrature_2d`.  Panel
-widths are chosen from the physics: the coarsest level resolving half a
-period of the fastest fringe on wavenumber axes and one Gaussian peak width on
-position axes.  The first doubling then both resolves the integral and
-verifies it.
+widths are chosen from the physics.  On a position axis a panel spans one
+Gaussian peak width.  On a wavenumber axis, panels of width w integrate the
+fringe e^{-k^2/2a} cos(2hk) with an alias at frequency 2 pi/w - 2h, weighted
+by e^{-a (2 pi/w - 2h)^2 / 2}; the width keeps that weight below e^{-21}
+(about 1e-9) and spans at most half a fringe period.  The first doubling then
+both resolves the integral and verifies it.
 """
 
 from __future__ import annotations
@@ -57,10 +59,15 @@ _MAX_NODES_1D = 1 << 19
 _MAX_NODES_2D = 1 << 28
 # a positive tolerance below this many ulps of the first estimate fails at once
 _RESOLVABLE_ULPS = 4
-# Gauss-Legendre nodes per panel, and the 2-D rule's rows of v per block
+# Gauss-Legendre nodes per panel, and the 2-D rule's block size: 2^16 cells,
+# so a float64 temporary (512 KB) stays inside a core's L2 cache, and at least
+# 32 rows, so the u-axis tables each block rebuilds stay a small share of it
 _ORDER_1D = 6
 _ORDER_2D = 4
-_ROW_CHUNK = 512
+_BLOCK_CELLS = 1 << 16
+_MIN_ROWS = 32
+# log of the largest alias weight a wavenumber panel leaves, e^{-21} ~ 1e-9
+_ALIAS_LOG = 21.0
 
 
 class QuadratureError(RuntimeError):
@@ -137,9 +144,13 @@ def basis_domains(
 def _axis_panels(params: SetupParams, axis: Axis, h: float, lo: float, hi: float) -> int:
     width = hi - lo
     if axis is Axis.WAVENUMBER:
-        # |psi|^2 oscillates like cos(2hk) under the e^{-k^2/2a} envelope: a
-        # panel spans at most one half-period pi/(2h) and one envelope std
-        panel_width = min(PI / (2.0 * h), math.sqrt(params.a))
+        # |psi|^2 oscillates like cos(2hk) under the e^{-k^2/2a} envelope.  Panels
+        # of width w alias that fringe to 2 pi/w - 2h, where the envelope's
+        # spectrum weighs it by e^{-a (2 pi/w - 2h)^2 / 2}; keep the weight below
+        # e^{-_ALIAS_LOG} and the panel within half a period pi/(2h).  For
+        # small h the width tends to 0.97 sqrt(a), one envelope std
+        alias_width = 2.0 * PI / (2.0 * h + math.sqrt(2.0 * _ALIAS_LOG / params.a))
+        panel_width = min(PI / (2.0 * h), alias_width)
     else:
         # one slit-peak standard deviation 1/(2 sqrt(a))
         panel_width = 1.0 / (2.0 * math.sqrt(params.a))
@@ -149,8 +160,10 @@ def _axis_panels(params: SetupParams, axis: Axis, h: float, lo: float, hi: float
 def basis_panel_hints(params: SetupParams, basis: BasisPair) -> tuple[int, int]:
     """Initial panel counts: the coarsest level whose first doubling resolves the integrand.
 
-    A panel spans at most half a fringe period on a wavenumber axis and one
-    slit-peak standard deviation on a position axis.
+    A panel spans one slit-peak standard deviation on a position axis.  On a
+    wavenumber axis it spans at most half a fringe period, and narrow enough
+    that the panels' alias of the fringe, at 2 pi/w - 2h, carries an envelope
+    weight below e^{-21}.
     """
     (u_lo, u_hi), (v_lo, v_hi) = basis_domains(params, basis)
     pu = _axis_panels(params, basis.first, params.h1, u_lo, u_hi)
@@ -237,9 +250,10 @@ def _eval_2d(
     xv: np.ndarray,
     wv: np.ndarray,
 ) -> float:
+    rows = max(_MIN_ROWS, _BLOCK_CELLS // len(xu))
     partials = []
-    for i in range(0, len(xv), _ROW_CHUNK):
-        vs = xv[i : i + _ROW_CHUNK]
+    for i in range(0, len(xv), rows):
+        vs = xv[i : i + rows]
         block = np.asarray(f(xu[None, :], vs[:, None]), dtype=float)
         partials.append(block @ wu)
     return float(np.concatenate(partials) @ wv)

@@ -251,16 +251,22 @@ def test_criterion_08_wavenumber_correlation_magnitude():
 def _slit_integral(a: float, h: float) -> mpmath.mpf:
     """int t e^{-t^2 / 2a} sin(2 h t) dt over the real line, numerically.
 
-    Evaluated with mpmath composite quadrature over subintervals shorter than
-    half an oscillation period; no antiderivative is used, keeping this an
-    independent route from the closed forms under test.
+    The integral is the imaginary part of int g(t) dt with the entire
+    g(t) = t e^{-t^2/2a + 2iht}, which decays along every horizontal line, so by
+    Cauchy's theorem the path may move to Im t = 2ah.  On that line g no longer
+    oscillates: it is (u + 2iah) e^{-u^2/2a} e^{-2ah^2}, so the quadrature does not
+    cancel an O(sqrt a) integrand down to a value of size e^{-2ah^2}.  The integrand
+    is scaled by e^{2ah^2}, because mpmath.quad stops on an absolute error.  No
+    antiderivative is used, keeping this an independent route from the closed
+    forms under test.
     """
     with mpmath.workdps(60):
         a_, h_ = mpmath.mpf(a), mpmath.mpf(h)
         half = 12 * mpmath.sqrt(a_)
-        n_sub = max(80, int(float(8 * half * h_ / PI)))
-        f = lambda t: t * mpmath.exp(-t * t / (2 * a_)) * mpmath.sin(2 * h_ * t)
-        return mpmath.quad(f, mpmath.linspace(-half, half, n_sub))
+        shift, scale = mpmath.mpc(0, 2 * a_ * h_), 2 * a_ * h_ * h_
+        g = lambda t: t * mpmath.exp(-t * t / (2 * a_) + 2j * h_ * t + scale)
+        total = mpmath.quad(lambda u: g(u + shift), mpmath.linspace(-half, half, 8))
+        return mpmath.im(total) * mpmath.exp(-scale)
 
 
 def _cov_k_oracle_mp(p: SetupParams) -> mpmath.mpf:
@@ -432,6 +438,20 @@ def test_criterion_11_moment_oracle():
     ok = all_ok
     _verdict(11, ok, "closed-form moments vs quadrature oracles, both bases, full lattice")
     assert ok
+
+
+def test_criterion_11_companion_wavenumber_covariance_is_relative():
+    # criterion 11 lets covariances below 1e-20 agree absolutely; the
+    # contour-shifted oracle is sharp enough to hold every nonzero one to 1e-8
+    # relative.  At xi = 0, sin 2xi vanishes and both sides are exactly zero
+    with _mpcore.workdps():
+        for p in LATTICE:
+            closed = correlation._moments_k_mp(_mpcore.point(p))[0]
+            oracle = _cov_k_oracle_mp(p)
+            if closed == 0:
+                assert oracle == 0, p
+            else:
+                assert abs(closed - oracle) <= mpmath.mpf("1e-8") * abs(closed), (p, closed, oracle)
 
 
 def test_criterion_12_byte_identical_across_thread_hints(tmp_path, capsys):

@@ -223,6 +223,21 @@ class TestReportCommand:
         assert payload["correlation"]["R"] == pytest.approx(0.0, abs=1e-15)
         assert payload["visibility"]["epsilon"] == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("scale", [["--a", "1e308", "--h1", "1"], ["--a", "1", "--h1", "1e200"]],
+                             ids=["a1e308", "h1e200"])
+    def test_overflowing_scale_reports_finite_fields(self, scale, capsys):
+        # 2 a (h1^2 + h2^2) overflows float64 here; the report runs at its capped precision
+        code, out, err = run(["report", *scale, "--h2", "1", "--xi", "0.3", "--format", "json"], capsys)
+        assert code == 0, err
+        payload = json.loads(out)
+        # log10 |rho_k| is about -2 a (h1^2 + h2^2) log10(e): -1.7e308 at a=1e308, and -8.7e399 at
+        # h1=1e200, which lies beyond float64 and rounds to -inf
+        log_rho = payload["correlation"].pop("rho_k_log10_abs")
+        assert log_rho == (-math.inf if scale[-1] == "1e200" else pytest.approx(-1.737e308, rel=1e-3))
+        for section in payload.values():
+            for key, value in section.items():
+                assert not isinstance(value, float) or math.isfinite(value), key
+
     def test_regime_warning_surfaces(self, capsys):
         code, out, _ = run(["report", "--a", "1", "--xi", "0.3", "--format", "json"], capsys)
         assert code == 0
@@ -266,6 +281,14 @@ class TestSweepCommand:
         _, v2d2, _, v2r2, _ = rows.T
         mask = (np.abs(v2d2 - 1.0) > 1e-10) & (np.abs(v2r2 - 1.0) > 1e-10)
         assert np.all(np.abs(v2r2 - 1.0)[mask] < np.abs(v2d2 - 1.0)[mask])
+
+    def test_sweep_into_an_overflowing_scale_stays_finite(self, capsys):
+        code, out, err = run(["sweep", "--h1", "1e200", "--xi", "0.3", "--sweep-start", "1",
+                              "--sweep-stop", "1e308", "--sweep-count", "2", "--format", "csv"], capsys)
+        assert code == 0, err
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 2
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
 
     def test_values_round_trip_through_17_digits(self, capsys):
         code, out, _ = run(["sweep", "--xi", "0.3", "--sweep-count", "3"], capsys)

@@ -261,6 +261,28 @@ class TestPanelHints:
         assert sum(nodes) <= 1_000_000
 
 
+class TestFirstDoubling:
+    # the panel hints resolve every integrand at the first level, so the first
+    # doubling only confirms it: two 2-D evaluations per mass, never a third
+    @pytest.mark.parametrize("a", (1e-3, 0.05, 0.5, 1.0, 2.0, 3.5, 5.0, 7.5, 10.0, 30.0, 100.0, 300.0))
+    def test_mass_converges_at_the_first_doubling(self, a, monkeypatch):
+        levels = []
+        eval_2d = density._eval_2d
+
+        def counted(f, xu, wu, xv, wv):
+            levels.append(len(xu) * len(xv))
+            return eval_2d(f, xu, wu, xv, wv)
+
+        monkeypatch.setattr(density, "_eval_2d", counted)
+        for h1, h2 in _EDGE_H + ((1.0, 1.0), (1.0, 2.0)):
+            for xi in (0.0, 0.7, 2.0):
+                p = SetupParams(a, h1, h2, xi)
+                for basis in (XX, KK, KX, XK):
+                    levels.clear()
+                    assert abs(normalization_mass(p, basis) - 1.0) <= 1e-8, (p, basis.token)
+                    assert len(levels) == 2, (p, basis.token, levels)
+
+
 class TestDomains:
     def test_position_domain_scales_with_slit_separation(self):
         p = SetupParams(4.0, 1.0, 3.0, 0.3)
