@@ -223,17 +223,17 @@ class TestReportCommand:
         assert payload["correlation"]["R"] == pytest.approx(0.0, abs=1e-15)
         assert payload["visibility"]["epsilon"] == pytest.approx(0.0, abs=1e-15)
 
-    @pytest.mark.parametrize("scale", [["--a", "1e308", "--h1", "1"], ["--a", "1", "--h1", "1e200"]],
+    # log10 |rho_k| is about -2 a (h1^2 + h2^2) log10(e): -1.7e308 at a=1e308, and -8.7e399 at
+    # h1=1e200, which lies beyond float64 and rounds to -inf
+    @pytest.mark.parametrize("scale,log_rho", [(["--a", "1e308", "--h1", "1"], -1.737e308),
+                                               (["--a", "1", "--h1", "1e200"], -math.inf)],
                              ids=["a1e308", "h1e200"])
-    def test_overflowing_scale_reports_finite_fields(self, scale, capsys):
+    def test_overflowing_scale_reports_finite_fields(self, scale, log_rho, capsys):
         # 2 a (h1^2 + h2^2) overflows float64 here; the report runs at its capped precision
         code, out, err = run(["report", *scale, "--h2", "1", "--xi", "0.3", "--format", "json"], capsys)
         assert code == 0, err
         payload = json.loads(out)
-        # log10 |rho_k| is about -2 a (h1^2 + h2^2) log10(e): -1.7e308 at a=1e308, and -8.7e399 at
-        # h1=1e200, which lies beyond float64 and rounds to -inf
-        log_rho = payload["correlation"].pop("rho_k_log10_abs")
-        assert log_rho == (-math.inf if scale[-1] == "1e200" else pytest.approx(-1.737e308, rel=1e-3))
+        assert payload["correlation"].pop("rho_k_log10_abs") == pytest.approx(log_rho, rel=1e-3)
         for section in payload.values():
             for key, value in section.items():
                 assert not isinstance(value, float) or math.isfinite(value), key
