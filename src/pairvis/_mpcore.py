@@ -6,8 +6,8 @@ Scalar closed forms are therefore evaluated with mpmath at 50 significant
 digits and rounded exactly once at the float boundary.
 
 Every scalar closed form is a function of a few per-point constants, which
-:func:`point` and :func:`braces` build once per parameter point and precision,
-so the entry points evaluated at one point share them.
+:func:`point`, :func:`q` and :func:`braces` build once per parameter point and
+precision, so the entry points evaluated at one point share them.
 """
 
 from __future__ import annotations
@@ -49,9 +49,8 @@ def workdps(params=None) -> mpmath.ctx_base.StandardBaseContext:
 # a, h1, h2, e_i = e^{-2a h_i^2}, cos xi, sin xi, cos 2xi, sin 2xi and B^2.
 Point = namedtuple("Point", "a h1 h2 e1 e2 cx sx c2 s2 b2")
 
-# The further exponentials of the diagonal visibility braces: q = e^{-2ag} with
-# g = h1^2 h2^2 / (h1^2 + h2^2), f_i = e^{-a h_i^2} and f-+ = e^{-a (h1 -+ h2)^2}.
-Braces = namedtuple("Braces", "q f1 f2 fm fp")
+# The further exponentials of the k+- visibility braces: f_i = e^{-a h_i^2} and f-+ = e^{-a (h1 -+ h2)^2}.
+Braces = namedtuple("Braces", "f1 f2 fm fp")
 
 # A point's constants are shared by its entry points and by its xi = pi/4 reference, and a
 # sweep's points share their xi; keyed on the binary precision, so each entry point keeps its own.
@@ -86,12 +85,27 @@ def point(params) -> Point:
 
 
 @lru_cache(maxsize=_CACHE)
-def _braces(a, h1, h2, prec: int) -> Braces:
+def _q(a, h1, h2, prec: int):
     g = (h1 * h2) ** 2 / (h1 * h1 + h2 * h2)
-    return Braces(mpmath.exp(-2 * a * g), mpmath.exp(-a * h1 * h1), mpmath.exp(-a * h2 * h2),
+    return mpmath.exp(-2 * a * g)
+
+
+def q(pt: Point):
+    """q = e^{-2ag}, g = h1^2 h2^2 / (h1^2 + h2^2), of the record ``pt``.
+
+    Evaluated once per (a, h1, h2) at the working precision.  The bound, the
+    closed-form epsilon and the s+- braces read q alone, so it is kept apart
+    from the k+- brace exponentials of :func:`braces`.
+    """
+    return _q(pt.a, pt.h1, pt.h2, mpmath.mp.prec)
+
+
+@lru_cache(maxsize=_CACHE)
+def _braces(a, h1, h2, prec: int) -> Braces:
+    return Braces(mpmath.exp(-a * h1 * h1), mpmath.exp(-a * h2 * h2),
                   mpmath.exp(-a * (h1 - h2) ** 2), mpmath.exp(-a * (h1 + h2) ** 2))
 
 
 def braces(pt: Point) -> Braces:
-    """The brace exponentials of the record ``pt``, once per (a, h1, h2) at the working precision."""
+    """The k+- brace exponentials of the record ``pt``, once per (a, h1, h2) at the working precision."""
     return _braces(pt.a, pt.h1, pt.h2, mpmath.mp.prec)

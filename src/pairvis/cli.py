@@ -10,6 +10,7 @@ exactly; outputs are byte-identical regardless of the --threads hint
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -169,14 +170,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep count must be at least 2")
     if not (0 < start < stop):
         raise ConfigError("sweep bounds must satisfy 0 < start < stop")
-    rows = []
-    for a in np.linspace(start, stop, count):
-        params = SetupParams(float(a), h1, h2, xi)
-        rep = visibility.visibility_report(params)
-        corr = corrected.corrected_f(params, convention=args.convention)
-        comp = correlation.complementarity_sums(params)
-        rows.append((params.a, rep.V * rep.V + rep.D * rep.D, rep.V * rep.V + corr.F * corr.F,
-                     comp.V2_plus_R2, rep.bound))
+    rows = [correlation._sweep_row(SetupParams(float(a), h1, h2, xi), args.convention)
+            for a in np.linspace(start, stop, count)]
     if args.format == "json":
         _write_text(args.out, json.dumps([dict(zip(_SWEEP_COLUMNS, row)) for row in rows]) + "\n")
     else:
@@ -198,7 +193,9 @@ def cmd_validate(args) -> int:
     return 0 if all(res.passed for res in results) else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="pairvis",
         description="Visibility and complementarity measures for bipartite Gaussian double-slit states.",

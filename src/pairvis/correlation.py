@@ -20,8 +20,9 @@ import mpmath
 import numpy as np
 
 from . import _mpcore
+from .corrected import _check_convention, _corrected_vis_mp
 from .state import PI, Axis, Report, SetupParams, normalization_b2
-from .visibility import single_particle_v_mp
+from .visibility import _MEASURES, _measures_mp, _report_workdps, bound_mp, single_particle_v_mp
 
 __all__ = [
     "CorrelationReport",
@@ -86,16 +87,23 @@ def _rho_mp(moments):
     return cov / mpmath.sqrt(var1 * var2)
 
 
-def _correlations_mp(params: SetupParams, pt: _mpcore.Point) -> tuple:
-    """(rho_x, rho_k, R, S, rho_k at xi = pi/4) from the record ``pt`` of ``params``.
+def _normalized_mp(moments_mp, pt: _mpcore.Point, ref: _mpcore.Point) -> tuple:
+    """(rho, |rho| / |rho_ref|, rho_ref) of the basis of ``moments_mp`` at the records ``pt`` and ``ref``.
 
-    R and S normalize |rho| by its value at the maximally entangled reference
-    ``params.with_xi(pi/4)``, whose record shares pt's slit exponentials.
+    R (position) and S (wavenumber) normalize |rho| by its value at the
+    maximally entangled reference ``params.with_xi(pi/4)``, whose record ``ref``
+    shares pt's slit exponentials.
     """
+    rho, rho_ref = _rho_mp(moments_mp(pt)), _rho_mp(moments_mp(ref))
+    return rho, abs(rho) / abs(rho_ref), rho_ref
+
+
+def _correlations_mp(params: SetupParams, pt: _mpcore.Point) -> tuple:
+    """(rho_x, rho_k, R, S, rho_k at xi = pi/4) from the record ``pt`` of ``params``."""
     ref = _mpcore.point(params.with_xi(PI / 4.0))
-    rx, rk = _rho_mp(_moments_x_mp(pt)), _rho_mp(_moments_k_mp(pt))
-    rx_ref, rk_ref = _rho_mp(_moments_x_mp(ref)), _rho_mp(_moments_k_mp(ref))
-    return rx, rk, abs(rx) / abs(rx_ref), abs(rk) / abs(rk_ref), rk_ref
+    rx, r, _ = _normalized_mp(_moments_x_mp, pt, ref)
+    rk, s, rk_ref = _normalized_mp(_moments_k_mp, pt, ref)
+    return rx, rk, r, s, rk_ref
 
 
 def marginal_k1_mixed(params: SetupParams, k1) -> np.ndarray:
@@ -167,3 +175,27 @@ def complementarity_sums(params: SetupParams) -> CorrelationReport:
             rhok2_plus_V2=float(rk * rk + v * v),
             detectability_flag=bool(abs(rk_ref) < DETECTABILITY_FLOOR),
         )
+
+
+def _sweep_row(params: SetupParams, convention: str) -> tuple:
+    """(a, V^2 + D^2, V^2 + F^2, V^2 + R^2, bound): the columns of one sweep row, and nothing else.
+
+    Each value comes from the helpers the three reports call, at their
+    precisions, and is rounded as the reports round it: V, D and the bound at
+    :func:`visibility_report`'s precision, rounded to float before V and D are
+    squared and summed; F at 50 digits as :func:`corrected.corrected_f`; and
+    V^2 + R^2 at 50 digits as :func:`complementarity_sums`, whose V shares the
+    report's k1/k2 table when the report ran at 50 digits.
+    """
+    _check_convention(convention)
+    with _report_workdps(params):
+        pt = _mpcore.point(params)
+        vis = _measures_mp(pt, _MEASURES["V"] + _MEASURES["D"])
+        v, d, bound = float(vis["V"]), float(vis["D"]), float(bound_mp(pt))
+    with _mpcore.workdps():
+        pt = _mpcore.point(params)
+        f = float(max(_corrected_vis_mp(params, pt, convention)))
+        v50 = single_particle_v_mp(pt)
+        r = _normalized_mp(_moments_x_mp, pt, _mpcore.point(params.with_xi(PI / 4.0)))[1]
+        v2_plus_r2 = float(v50 * v50 + r * r)
+    return params.a, v * v + d * d, v * v + f * f, v2_plus_r2, bound

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import mpmath
@@ -63,11 +64,12 @@ def _brace_exponentials(pt: _mpcore.Point, observable: str) -> tuple:
         return pt.e2, pt.e2, 1, pt.e2
     if observable == "k2":
         return pt.e1, pt.e1, pt.e1, 1
-    br = _mpcore.braces(pt)
     if observable in ("k+", "k-"):
+        br = _mpcore.braces(pt)
         return (br.fm, br.fp, br.f1, br.f2) if observable == "k+" else (br.fp, br.fm, br.f1, br.f2)
-    q4 = br.q ** 4
-    return (1, q4, br.q, br.q) if observable == "s+" else (q4, 1, br.q, br.q)
+    q = _mpcore.q(pt)
+    q4 = q ** 4
+    return (1, q4, q, q) if observable == "s+" else (q4, 1, q, q)
 
 
 def _envelope_table_mp(pt: _mpcore.Point, observables=OBSERVABLES) -> dict:
@@ -80,7 +82,7 @@ def _envelope_table_mp(pt: _mpcore.Point, observables=OBSERVABLES) -> dict:
 
     E1 = e^{-2a B1^2}, E2 = e^{-2a B2^2}, E3 = e^{-a(B1+B2)^2/2}, E4 = e^{-a(B1-B2)^2/2}.
     Along the six directions these are exponentials of the point alone, e_i = e^{-2a h_i^2}
-    from :func:`_mpcore.point` and the rest from :func:`_mpcore.braces`:
+    from :func:`_mpcore.point`, q from :func:`_mpcore.q` and the rest from :func:`_mpcore.braces`:
     k1 reads (e2, e2, 1, e2), k2 (e1, e1, e1, 1), k+ (e^{-a(h1-h2)^2}, e^{-a(h1+h2)^2},
     e^{-a h1^2}, e^{-a h2^2}), k- the same with its first two swapped, s+ (1, q^4, q, q)
     and s- (q^4, 1, q, q), q = e^{-2ag}.  The envelopes are the marginal's prefactor times
@@ -107,9 +109,26 @@ def _contrast(lower, upper):
 _MEASURES = {"V": ("k1", "k2"), "W": ("k+", "k-"), "D": ("s+", "s-")}
 
 
+@lru_cache(maxsize=_mpcore._CACHE)
+def _k_contrasts_mp(pt: _mpcore.Point, prec: int) -> tuple:
+    """(k1, k2) contrasts of the record ``pt``, whose table is built once per record and precision.
+
+    A report at 50 digits, the 50-digit V of :func:`correlation.complementarity_sums`
+    and a sweep row's V all read this one table.
+    """
+    table = _envelope_table_mp(pt, _MEASURES["V"])
+    return tuple(_contrast(*table[obs]) for obs in _MEASURES["V"])
+
+
 def _measures_mp(pt: _mpcore.Point, observables=OBSERVABLES) -> dict:
-    """Contrast of each of ``observables`` and each of V, W, D whose pair is among them, from one envelope table."""
-    vis = {obs: _contrast(lower, upper) for obs, (lower, upper) in _envelope_table_mp(pt, observables).items()}
+    """Contrast of each of ``observables`` and each of V, W, D whose pair is among them, from one envelope table.
+
+    The table's k1/k2 part comes from :func:`_k_contrasts_mp`, once per record and precision.
+    """
+    rest = tuple(obs for obs in observables if obs not in _MEASURES["V"])
+    vis = {obs: _contrast(lower, upper) for obs, (lower, upper) in _envelope_table_mp(pt, rest).items()}
+    if len(rest) < len(observables):
+        vis.update(zip(_MEASURES["V"], _k_contrasts_mp(pt, mpmath.mp.prec)))
     for name, (first, second) in _MEASURES.items():
         if first in vis and second in vis:
             vis[name] = max(vis[first], vis[second]) if name == "V" else abs(vis[first] - vis[second])
@@ -128,7 +147,7 @@ def epsilon_mp(pt: _mpcore.Point):
 
 def bound_mp(pt: _mpcore.Point):
     """2 e^{-2ag}: twice the q that the s+- braces and the closed-form epsilon read."""
-    return 2 * _mpcore.braces(pt).q
+    return 2 * _mpcore.q(pt)
 
 
 def _epsilon_closed_mp(pt: _mpcore.Point, q):

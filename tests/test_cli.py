@@ -2,16 +2,21 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pairvis.cli import ConfigError, main, parse_angle, parse_grid_shape
+import pairvis
+from pairvis.cli import ConfigError, build_parser, main, parse_angle, parse_grid_shape
 
 PI = math.pi
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = str(Path(pairvis.__file__).resolve().parents[1])
 
 
 def run(argv, capsys):
@@ -313,8 +318,12 @@ class TestGoldenOutput:
                                     "--format", "csv"]),
         ("sweep_h1-2_xi0.3_a2-30_n16", ["sweep", "--h1", "1", "--h2", "2", "--xi", "0.3", "--sweep-start", "2",
                                         "--sweep-stop", "30", "--sweep-count", "16", "--format", "csv"]),
-        # the three reports of each point share one 50-digit record
+        # every column of each row read at 50 digits, from one record and one k1/k2 table
         ("sweep_fig4_xi0.7", ["sweep", "--figure", "fig4", "--xi", "0.7", "--format", "csv"]),
+        # V, D and the bound at 56 to 290 digits, F and R at 50, under the b4_pi4 convention
+        ("sweep_h1-2_xi0.3_a6-60_n9_b4_pi4", ["sweep", "--h1", "1", "--h2", "2", "--xi", "0.3", "--sweep-start", "6",
+                                              "--sweep-stop", "60", "--sweep-count", "9", "--convention", "b4_pi4",
+                                              "--format", "csv"]),
         # the visibility report at the 345-digit cap, the other two at 50 digits
         ("report_a10000_h1-2_xi0.3", ["report", "--a", "10000", "--h1", "1", "--h2", "2", "--xi", "0.3",
                                       "--format", "csv"]),
@@ -349,6 +358,27 @@ class TestDeterminism:
         _, out1, _ = run(argv + ["--threads", "1"], capsys)
         _, out4, _ = run(argv + ["--threads", "4"], capsys)
         assert out1 == out4
+
+
+class TestOneProcess:
+    def test_commands_in_one_process_print_what_each_prints_alone(self, capsys):
+        # main reuses one parser across calls; a usage error in between must leave it as built
+        commands = [["report", "--a", "4", "--xi", "0.3"], ["sweep", "--xi", "pi/8", "--sweep-count", "5"]]
+        alone = []
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-m", "pairvis.cli", *argv], capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            alone.append(proc.stdout)
+        assert alone[0].startswith("{") and alone[1].startswith("a,")
+        assert run(commands[0], capsys)[:2] == (0, alone[0])
+        assert run(commands[1], capsys)[:2] == (0, alone[1])
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--xi", "0.3", "--format", "yaml"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(commands[0], capsys)[:2] == (0, alone[0])
+        assert build_parser() is build_parser()
 
 
 class TestValidateCommand:

@@ -12,6 +12,7 @@ from pairvis import (
     XX,
     SetupParams,
     complementarity_sums,
+    corrected_f,
     density_at,
     marginal_k1_mixed,
     moments_k,
@@ -19,7 +20,7 @@ from pairvis import (
     quadrature_2d,
     visibility_report,
 )
-from pairvis.correlation import DETECTABILITY_FLOOR
+from pairvis.correlation import DETECTABILITY_FLOOR, _sweep_row
 from pairvis.density import basis_domains, basis_panel_hints
 from pairvis.radon import marginal_k1
 from pairvis.state import KX
@@ -224,3 +225,21 @@ class TestComplementaritySums:
         assert report.V2_plus_S2 == pytest.approx(1.0, abs=1e-15)
         # rho_x converges to |sin 2 xi| only polynomially in a
         assert report.rhox2_plus_V2 == pytest.approx(1.0, abs=2e-2)
+
+
+class TestSweepRow:
+    """The sweep's row against the three reports, formed from them as the sweep once formed it."""
+
+    # from a = 7.9 at h = (1, 2) the report runs above 50 digits, and at a = 1e4 at its 345-digit cap
+    @pytest.mark.parametrize("a", [1e-6, 0.5, 2.0, 7.9, 30.0, 600.0, 1e4])
+    def test_equals_the_reports_bit_for_bit(self, a):
+        for h1, h2 in ((1.0, 1.0), (1.0, 2.0), (0.05, 3.0)):
+            for xi in (0.0, 0.3, PI / 4.0, PI / 2.0, 2.9):
+                p = SetupParams(a, h1, h2, xi)
+                cold = {convention: _sweep_row(p, convention) for convention in ("b4_xi", "b4_pi4")}
+                rep, comp = visibility_report(p), complementarity_sums(p)
+                for convention, row in cold.items():
+                    f = corrected_f(p, convention).F
+                    expected = (p.a, rep.V * rep.V + rep.D * rep.D, rep.V * rep.V + f * f, comp.V2_plus_R2,
+                                rep.bound)
+                    assert row == expected == _sweep_row(p, convention), (p, convention)

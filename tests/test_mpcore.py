@@ -5,7 +5,16 @@ import math
 import mpmath
 import pytest
 
-from pairvis import SetupParams, _mpcore, complementarity_sums, corrected_f, epsilon_and_bound, visibility_report
+from pairvis import (
+    SetupParams,
+    _mpcore,
+    complementarity_sums,
+    corrected_f,
+    epsilon_and_bound,
+    visibility,
+    visibility_report,
+)
+from pairvis.correlation import _sweep_row
 
 PI = math.pi
 
@@ -41,8 +50,8 @@ POINTS = [
 
 
 def _fresh(build):
-    """``build()`` with the memoized slit, angle and brace constants evaluated anew."""
-    for cached in (_mpcore._slits, _mpcore._angle, _mpcore._braces):
+    """``build()`` with the memoized slit, angle and brace constants and k1/k2 contrasts evaluated anew."""
+    for cached in (_mpcore._slits, _mpcore._angle, _mpcore._q, _mpcore._braces, visibility._k_contrasts_mp):
         cached.cache_clear()
     return build()
 
@@ -60,7 +69,7 @@ class TestPoint:
                 assert pt.b2 == b2_mp(p.a, p.h1, p.h2, p.xi)
                 br = _mpcore.braces(pt)
                 a, h1, h2 = pt.a, pt.h1, pt.h2
-                assert br.q == mpmath.exp(-2 * a * ((h1 * h2) ** 2 / (h1 * h1 + h2 * h2)))
+                assert _mpcore.q(pt) == mpmath.exp(-2 * a * ((h1 * h2) ** 2 / (h1 * h1 + h2 * h2)))
                 assert (br.f1, br.f2) == (mpmath.exp(-a * h1 * h1), mpmath.exp(-a * h2 * h2))
                 assert (br.fm, br.fp) == (mpmath.exp(-a * (h1 - h2) ** 2), mpmath.exp(-a * (h1 + h2) ** 2))
 
@@ -68,7 +77,8 @@ class TestPoint:
     def test_reused_slit_exponentials_give_the_fresh_record(self, p):
         # the xi = pi/4 reference shares p's slit exponentials, and each precision has its own
         def records():
-            return [(_mpcore.point(q), _mpcore.braces(_mpcore.point(q))) for q in (p, p.with_xi(PI / 4.0))]
+            points = [_mpcore.point(r) for r in (p, p.with_xi(PI / 4.0))]
+            return [(pt, _mpcore.q(pt), _mpcore.braces(pt)) for pt in points]
 
         for context in (_mpcore.workdps(), _mpcore.workdps(p)):
             with context:
@@ -140,6 +150,37 @@ def test_three_reports_at_a_50_digit_point_evaluate_the_slit_exponentials_once(m
     with _mpcore.workdps():
         a, h1, h2 = mpmath.mpf(p.a), mpmath.mpf(p.h1), mpmath.mpf(p.h2)
         assert arguments.count(-2 * a * h1 * h1) == 1 and arguments.count(-2 * a * h2 * h2) == 1, arguments
+
+
+@pytest.mark.parametrize("convention", ["b4_xi", "b4_pi4"])
+def test_a_sweep_row_evaluates_q_without_the_k_pm_exponentials(monkeypatch, convention):
+    # the row reads e1, e2 and q at the report's 160 digits and e1, e2 at 50; the four
+    # k+- brace exponentials, which only the report's k+ and k- contrasts read, never run
+    p = SetupParams(30.0, 1.0, 2.0, 0.3)
+    assert _mpcore.digits(p) > _mpcore.DPS
+    counts = _count_calls(monkeypatch, mpmath, ("exp",))
+    _fresh(lambda: _sweep_row(p, convention))
+    assert counts["exp"] == 5, counts
+    counts["exp"] = 0
+    _fresh(lambda: epsilon_and_bound(p))
+    assert counts["exp"] == 3, counts
+
+
+def test_one_k1_k2_table_per_record(monkeypatch):
+    # at a 50-digit point the report, the sums and the sweep row read one k1/k2 table;
+    # at a deeper point the report's table has its own precision, and the others share the 50-digit one
+    built = []
+    table = visibility._envelope_table_mp
+
+    def recorded(pt, observables=visibility.OBSERVABLES):
+        built.extend(obs for obs in observables if obs == "k1")
+        return table(pt, observables)
+
+    monkeypatch.setattr(visibility, "_envelope_table_mp", recorded)
+    for p, tables in ((SetupParams(5.0, 1.0, 1.5, 0.7), 1), (SetupParams(30.0, 1.0, 2.0, 0.3), 2)):
+        built.clear()
+        _fresh(lambda: (visibility_report(p), complementarity_sums(p), _sweep_row(p, "b4_xi")))
+        assert len(built) == tables, (p, built)
 
 
 @pytest.mark.parametrize("entry", [visibility_report, epsilon_and_bound])
