@@ -59,13 +59,16 @@ _MAX_NODES_1D = 1 << 19
 _MAX_NODES_2D = 1 << 28
 # a positive tolerance below this many ulps of the first estimate fails at once
 _RESOLVABLE_ULPS = 4
-# Gauss-Legendre nodes per panel, and the 2-D rule's block size: 2^16 cells,
-# so a float64 temporary (512 KB) stays inside a core's L2 cache, and at least
-# 32 rows, so the u-axis tables each block rebuilds stay a small share of it
+# Gauss-Legendre nodes per panel, and the 2-D rule's block size: 2^14 cells,
+# so a float64 temporary (128 KiB) stays under glibc's default mmap threshold
+# and is reused from the heap instead of being mapped, zero-filled and faulted
+# in afresh for every block, and at least 24 rows, so the u-axis tables each
+# block rebuilds stay a small share of it (16 rows measured slower from the
+# rebuilds, 32 slower from the faults of the larger blocks on wide u axes)
 _ORDER_1D = 6
 _ORDER_2D = 4
-_BLOCK_CELLS = 1 << 16
-_MIN_ROWS = 32
+_BLOCK_CELLS = 1 << 14
+_MIN_ROWS = 24
 # log of the largest alias weight a wavenumber panel leaves, e^{-21} ~ 1e-9
 _ALIAS_LOG = 21.0
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import basis_domains, basis_panel_hints, integrate_1d_batch
-from .density import density_at
-from .state import KK, PI, SetupParams, _line_frequencies, normalization_b2
+from .density import _axis_panels, default_domain, density_at, integrate_1d_batch
+from .state import KK, PI, Axis, SetupParams, _line_frequencies, normalization_b2
 
 
 OBSERVABLES = ("k1", "k2", "k+", "k-", "s+", "s-")
@@ -104,20 +103,25 @@ class Marginal1D:
 
 
 def radon_numeric(params: SetupParams, phi, s_axis: np.ndarray, tol: float = 1e-10) -> Marginal1D:
-    """Line-integral marginal of the wavenumber density along angle phi, via batched 1d quadrature."""
+    """Line-integral marginal of the wavenumber density along angle phi, via batched 1d quadrature.
+
+    The kk envelope e^{-(k1^2+k2^2)/2a} is isotropic, so every line spans the
+    wavenumber axes' +-10 sqrt(a).  On the line the density's fastest fringe
+    is cos(2Bt) with B = max(|B1|, |B2|) of the branch phases A1 s + B1 t and
+    A2 s + B2 t, and the panels follow the wavenumber axes' rule for a slit
+    of half-separation B.  On the k+- lines B = (h1 + h2)/sqrt(2), above
+    max(h1, h2) unless the smaller slit is at most sqrt(2) - 1 times the larger.
+    """
     angle = _as_angle(phi)
     s = np.asarray(s_axis, dtype=float)
-    (u_lo, u_hi), (v_lo, v_hi) = basis_domains(params, KK)
-    # the rotated line can traverse the corner of the rectangular domain
-    half = math.sqrt(2.0) * max(u_hi, v_hi)
-    pu, pv = basis_panel_hints(params, KK)
-    widths = ((u_hi - u_lo) / pu, (v_hi - v_lo) / pv)
-    panels = int(math.ceil(2.0 * half / min(widths)))
+    lo, hi = default_domain(params, Axis.WAVENUMBER)
+    _, b1, _, b2 = _line_frequencies(params, math.cos(angle.phi), math.sin(angle.phi))
+    panels = _axis_panels(params, Axis.WAVENUMBER, max(abs(b1), abs(b2)), lo, hi)
 
     def along_line(t: np.ndarray) -> np.ndarray:
         return density_at(params, KK, s[:, None], t[None, :], phi=angle.phi)
 
-    values = integrate_1d_batch(along_line, -half, half, tol=tol, min_panels=panels)
+    values = integrate_1d_batch(along_line, lo, hi, tol=tol, min_panels=panels)
     return Marginal1D(observable=angle.label, phi=angle.phi, s=s, values=values)
 
 

@@ -22,10 +22,10 @@ from pairvis import (
     normalization_mass,
     quadrature_2d,
 )
-from pairvis import density
+from pairvis import density, radon
 from pairvis.corrected import corrected_density
 from pairvis.density import basis_domains, basis_panel_hints, gauss_panels, integrate_1d_batch
-from pairvis.radon import radon_numeric
+from pairvis.radon import OBSERVABLES, RadonAngle, marginal_at, radon_numeric
 from pairvis.state import Axis, psi
 
 PI = math.pi
@@ -282,6 +282,30 @@ class TestFirstDoubling:
                     assert abs(normalization_mass(p, basis) - 1.0) <= 1e-8, (p, basis.token)
                     assert len(levels) == 2, (p, basis.token, levels)
 
+    @pytest.mark.parametrize("a", (1e-3, 0.05, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0, 300.0))
+    def test_radon_converges_at_the_first_doubling(self, a, monkeypatch):
+        # each line's panels follow its own fastest fringe, so every marginal
+        # takes two line evaluations and meets validate's 1e-8 gate
+        levels = []
+        line_density = radon.density_at
+
+        def counted(params, basis, u, v, phi=0.0):
+            levels.append(np.size(v))
+            return line_density(params, basis, u, v, phi=phi)
+
+        monkeypatch.setattr(radon, "density_at", counted)
+        generic = [RadonAngle(phi) for phi in _generic_angles(np.random.default_rng(20261021), 2)]
+        s = np.linspace(-6.0 * math.sqrt(a), 6.0 * math.sqrt(a), 51)
+        for h1, h2 in _EDGE_H + ((1.0, 1.0), (1.0, 2.0)):
+            for xi in (0.0, 0.7, 2.0):
+                p = SetupParams(a, h1, h2, xi)
+                for angle in [RadonAngle.named(label, p) for label in OBSERVABLES] + generic:
+                    levels.clear()
+                    numeric = radon_numeric(p, angle, s).values
+                    closed = marginal_at(p, angle, s)
+                    assert len(levels) == 2, (p, angle, levels)
+                    assert float(np.max(np.abs(numeric - closed))) <= 1e-8 * float(np.max(closed)), (p, angle)
+
 
 class TestDomains:
     def test_position_domain_scales_with_slit_separation(self):
@@ -464,8 +488,9 @@ def _rotated_density(p, basis, phi, s, t):
     return _pointwise_density(p, basis, s * c - t * sn, s * sn + t * c)
 
 
-def _line_half(p, basis):
-    # the half-length of radon_numeric's line integral
+def _corner_half(p, basis):
+    # the half-length of a line through the centre that reaches the domain's corners,
+    # wider than the +-10 sqrt(a) that radon_numeric integrates over
     (_, hi1), (_, hi2) = basis_domains(p, basis)
     return math.sqrt(2.0) * max(hi1, hi2)
 
@@ -478,7 +503,7 @@ class TestRotatedDensity:
                 for h2 in _FACTOR_H:
                     for xi in _FACTOR_XI:
                         p = SetupParams(a, h1, h2, xi)
-                        half = _line_half(p, KK)
+                        half = _corner_half(p, KK)
                         s = np.linspace(-half, half, 41)[:, None]
                         t = np.linspace(-half, half, 37)[None, :]
                         for phi in _generic_angles(rng, 2):
@@ -491,7 +516,7 @@ class TestRotatedDensity:
     @pytest.mark.parametrize("basis", [XX, KK, KX, XK], ids=lambda b: b.token)
     def test_pointwise_fallback_keeps_bits(self, basis):
         p = SetupParams(30.0, 1.0, 2.0, 0.3)
-        half = _line_half(p, basis)
+        half = _corner_half(p, basis)
         s = np.linspace(-half, half, 51)
         t = np.linspace(-half, half, 97)
         phi = 0.7
@@ -520,8 +545,10 @@ class TestRotatedDensity:
 
     @pytest.mark.parametrize("phi", [0.1, 0.77, -1.2])
     def test_radon_numeric_matches_pointwise_line_integral(self, phi):
+        # the reference spans the corner-reaching line, so the check also
+        # covers what radon_numeric's cut to +-10 sqrt(a) leaves out
         for p in (SetupParams(2.0, 1.0, 1.0, 0.3), SetupParams(30.0, 1.0, 2.0, 2.0)):
-            half = _line_half(p, KK)
+            half = _corner_half(p, KK)
             s = np.linspace(-0.8 * half, 0.8 * half, 41)
             got = radon_numeric(p, phi, s, tol=1e-12).values
             ref = integrate_1d_batch(
