@@ -6,8 +6,13 @@ Scalar closed forms are therefore evaluated with mpmath at 50 significant
 digits and rounded exactly once at the float boundary.
 
 Every scalar closed form is a function of a few per-point constants, which
-:func:`point`, :func:`q` and :func:`braces` build once per parameter point and
-precision, so the entry points evaluated at one point share them.
+:func:`point` and :func:`braces` build once per parameter point and precision.
+Three small caches hold them, each for the calls that reuse it: ``_slits``
+(e1, e2 and q) for a point's entry points at one precision and its xi = pi/4
+reference, ``_angle`` for a sweep's points, which share xi, and ``_braces``
+for the k+ and k- contrasts of one report.  The visibility report and a
+sweep's rows run at :func:`_report_workdps`; the corrected and correlation
+reports at the fixed 50 digits of :func:`workdps`.
 """
 
 from __future__ import annotations
@@ -45,9 +50,20 @@ def workdps(params=None) -> mpmath.ctx_base.StandardBaseContext:
     return mpmath.workdps(params if isinstance(params, int) else digits(params))
 
 
+# The report's fields are float64s formed from O(1) braces: at 345 digits the rounding error of
+# each lies far below float64's smallest subnormal, 4.9e-324, so W near 1e-288 rounds correctly too.
+_REPORT_DPS = 345
+
+
+def _report_workdps(params):
+    """Context manager at :func:`digits` of ``params``, capped at ``_REPORT_DPS``."""
+    return workdps(min(digits(params), _REPORT_DPS))
+
+
 # The per-point constants of the closed forms, at the precision they were built at:
-# a, h1, h2, e_i = e^{-2a h_i^2}, cos xi, sin xi, cos 2xi, sin 2xi and B^2.
-Point = namedtuple("Point", "a h1 h2 e1 e2 cx sx c2 s2 b2")
+# a, h1, h2, e_i = e^{-2a h_i^2}, q = e^{-2ag} with g = h1^2 h2^2 / (h1^2 + h2^2),
+# cos xi, sin xi, cos 2xi, sin 2xi and B^2.
+Point = namedtuple("Point", "a h1 h2 e1 e2 q cx sx c2 s2 b2")
 
 # The further exponentials of the k+- visibility braces: f_i = e^{-a h_i^2} and f-+ = e^{-a (h1 -+ h2)^2}.
 Braces = namedtuple("Braces", "f1 f2 fm fp")
@@ -60,7 +76,8 @@ _CACHE = 8
 @lru_cache(maxsize=_CACHE)
 def _slits(a: float, h1: float, h2: float, prec: int) -> tuple:
     a, h1, h2 = mpmath.mpf(a), mpmath.mpf(h1), mpmath.mpf(h2)
-    return a, h1, h2, mpmath.exp(-2 * a * h1 * h1), mpmath.exp(-2 * a * h2 * h2)
+    g = (h1 * h2) ** 2 / (h1 * h1 + h2 * h2)
+    return a, h1, h2, mpmath.exp(-2 * a * h1 * h1), mpmath.exp(-2 * a * h2 * h2), mpmath.exp(-2 * a * g)
 
 
 @lru_cache(maxsize=_CACHE)
@@ -73,31 +90,15 @@ def _angle(xi: float, prec: int) -> tuple:
 def point(params) -> Point:
     """The record of ``params`` at the working precision.
 
-    Its slit exponentials and its trigonometric pairs are evaluated once per
-    (a, h1, h2) and per xi at each precision, and shared by every record that
-    has them: the three reports of one point and its xi = pi/4 reference build
-    e1 and e2 once, and a sweep's points build cos_sin(xi) once.
+    Its slit exponentials (e1, e2 and q) and its trigonometric pairs are
+    evaluated once per (a, h1, h2) and per xi at each precision, and shared by
+    every record that has them: the reports of one point and its xi = pi/4
+    reference build e1, e2 and q once, and a sweep's points build cos_sin(xi) once.
     """
     prec = mpmath.mp.prec
-    a, h1, h2, e1, e2 = _slits(params.a, params.h1, params.h2, prec)
+    a, h1, h2, e1, e2, q = _slits(params.a, params.h1, params.h2, prec)
     cx, sx, c2, s2 = _angle(params.xi, prec)
-    return Point(a, h1, h2, e1, e2, cx, sx, c2, s2, 2 / (1 + e1 * e2 + (e1 + e2) * c2))
-
-
-@lru_cache(maxsize=_CACHE)
-def _q(a, h1, h2, prec: int):
-    g = (h1 * h2) ** 2 / (h1 * h1 + h2 * h2)
-    return mpmath.exp(-2 * a * g)
-
-
-def q(pt: Point):
-    """q = e^{-2ag}, g = h1^2 h2^2 / (h1^2 + h2^2), of the record ``pt``.
-
-    Evaluated once per (a, h1, h2) at the working precision.  The bound, the
-    closed-form epsilon and the s+- braces read q alone, so it is kept apart
-    from the k+- brace exponentials of :func:`braces`.
-    """
-    return _q(pt.a, pt.h1, pt.h2, mpmath.mp.prec)
+    return Point(a, h1, h2, e1, e2, q, cx, sx, c2, s2, 2 / (1 + e1 * e2 + (e1 + e2) * c2))
 
 
 @lru_cache(maxsize=_CACHE)

@@ -255,10 +255,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParameterDomainError, UnsupportedBasisError) as exc:
+    except (ConfigError, ParameterDomainError, UnsupportedBasisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

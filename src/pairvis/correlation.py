@@ -22,7 +22,7 @@ import numpy as np
 from . import _mpcore
 from .corrected import _check_convention, _corrected_vis_mp
 from .state import PI, Axis, Report, SetupParams, normalization_b2
-from .visibility import _MEASURES, _measures_mp, _report_workdps, bound_mp, single_particle_v_mp
+from .visibility import _MEASURES, _measures_mp, bound_mp, single_particle_v_mp
 
 __all__ = [
     "CorrelationReport",
@@ -180,22 +180,20 @@ def complementarity_sums(params: SetupParams) -> CorrelationReport:
 def _sweep_row(params: SetupParams, convention: str) -> tuple:
     """(a, V^2 + D^2, V^2 + F^2, V^2 + R^2, bound): the columns of one sweep row, and nothing else.
 
-    Each value comes from the helpers the three reports call, at their
-    precisions, and is rounded as the reports round it: V, D and the bound at
-    :func:`visibility_report`'s precision, rounded to float before V and D are
-    squared and summed; F at 50 digits as :func:`corrected.corrected_f`; and
-    V^2 + R^2 at 50 digits as :func:`complementarity_sums`, whose V shares the
-    report's k1/k2 table when the report ran at 50 digits.
+    All five come from one record at :func:`visibility_report`'s precision,
+    through the helpers the three reports call: V and D from the k1, k2, s+
+    and s- contrasts, the bound, F as :func:`corrected.corrected_f` forms it
+    and R as :func:`complementarity_sums` does.  Each is rounded as the
+    reports round it: V, D and F to float before they are squared and summed,
+    V^2 + R^2 once.  F and V^2 + R^2 round to the same floats as the reports'
+    50-digit values (``tests/test_correlation.py::TestSweepRow``).
     """
     _check_convention(convention)
-    with _report_workdps(params):
+    with _mpcore._report_workdps(params):
         pt = _mpcore.point(params)
         vis = _measures_mp(pt, _MEASURES["V"] + _MEASURES["D"])
-        v, d, bound = float(vis["V"]), float(vis["D"]), float(bound_mp(pt))
-    with _mpcore.workdps():
-        pt = _mpcore.point(params)
-        f = float(max(_corrected_vis_mp(params, pt, convention)))
-        v50 = single_particle_v_mp(pt)
+        f = max(_corrected_vis_mp(params, pt, convention))
         r = _normalized_mp(_moments_x_mp, pt, _mpcore.point(params.with_xi(PI / 4.0)))[1]
-        v2_plus_r2 = float(v50 * v50 + r * r)
-    return params.a, v * v + d * d, v * v + f * f, v2_plus_r2, bound
+        v2_plus_r2 = vis["V"] * vis["V"] + r * r
+        v, d, f = float(vis["V"]), float(vis["D"]), float(f)
+        return params.a, v * v + d * d, v * v + f * f, float(v2_plus_r2), float(bound_mp(pt))

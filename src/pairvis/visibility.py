@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import mpmath
@@ -67,7 +66,7 @@ def _brace_exponentials(pt: _mpcore.Point, observable: str) -> tuple:
     if observable in ("k+", "k-"):
         br = _mpcore.braces(pt)
         return (br.fm, br.fp, br.f1, br.f2) if observable == "k+" else (br.fp, br.fm, br.f1, br.f2)
-    q = _mpcore.q(pt)
+    q = pt.q
     q4 = q ** 4
     return (1, q4, q, q) if observable == "s+" else (q4, 1, q, q)
 
@@ -82,7 +81,7 @@ def _envelope_table_mp(pt: _mpcore.Point, observables=OBSERVABLES) -> dict:
 
     E1 = e^{-2a B1^2}, E2 = e^{-2a B2^2}, E3 = e^{-a(B1+B2)^2/2}, E4 = e^{-a(B1-B2)^2/2}.
     Along the six directions these are exponentials of the point alone, e_i = e^{-2a h_i^2}
-    from :func:`_mpcore.point`, q from :func:`_mpcore.q` and the rest from :func:`_mpcore.braces`:
+    and q from :func:`_mpcore.point` and the rest from :func:`_mpcore.braces`:
     k1 reads (e2, e2, 1, e2), k2 (e1, e1, e1, 1), k+ (e^{-a(h1-h2)^2}, e^{-a(h1+h2)^2},
     e^{-a h1^2}, e^{-a h2^2}), k- the same with its first two swapped, s+ (1, q^4, q, q)
     and s- (q^4, 1, q, q), q = e^{-2ag}.  The envelopes are the marginal's prefactor times
@@ -109,26 +108,9 @@ def _contrast(lower, upper):
 _MEASURES = {"V": ("k1", "k2"), "W": ("k+", "k-"), "D": ("s+", "s-")}
 
 
-@lru_cache(maxsize=_mpcore._CACHE)
-def _k_contrasts_mp(pt: _mpcore.Point, prec: int) -> tuple:
-    """(k1, k2) contrasts of the record ``pt``, whose table is built once per record and precision.
-
-    A report at 50 digits, the 50-digit V of :func:`correlation.complementarity_sums`
-    and a sweep row's V all read this one table.
-    """
-    table = _envelope_table_mp(pt, _MEASURES["V"])
-    return tuple(_contrast(*table[obs]) for obs in _MEASURES["V"])
-
-
 def _measures_mp(pt: _mpcore.Point, observables=OBSERVABLES) -> dict:
-    """Contrast of each of ``observables`` and each of V, W, D whose pair is among them, from one envelope table.
-
-    The table's k1/k2 part comes from :func:`_k_contrasts_mp`, once per record and precision.
-    """
-    rest = tuple(obs for obs in observables if obs not in _MEASURES["V"])
-    vis = {obs: _contrast(lower, upper) for obs, (lower, upper) in _envelope_table_mp(pt, rest).items()}
-    if len(rest) < len(observables):
-        vis.update(zip(_MEASURES["V"], _k_contrasts_mp(pt, mpmath.mp.prec)))
+    """Contrast of each of ``observables`` and each of V, W, D whose pair is among them, from one envelope table."""
+    vis = {obs: _contrast(lower, upper) for obs, (lower, upper) in _envelope_table_mp(pt, observables).items()}
     for name, (first, second) in _MEASURES.items():
         if first in vis and second in vis:
             vis[name] = max(vis[first], vis[second]) if name == "V" else abs(vis[first] - vis[second])
@@ -147,16 +129,16 @@ def epsilon_mp(pt: _mpcore.Point):
 
 def bound_mp(pt: _mpcore.Point):
     """2 e^{-2ag}: twice the q that the s+- braces and the closed-form epsilon read."""
-    return 2 * _mpcore.q(pt)
+    return 2 * pt.q
 
 
-def _epsilon_closed_mp(pt: _mpcore.Point, q):
+def _epsilon_closed_mp(pt: _mpcore.Point):
     """1 - V^2 - D^2 in a closed form free of the direct difference's cancellation; q = e^{-2ag}.
 
     With c = cos 2xi and s = sin 2xi, 1 - V_k^2 = s^2 (1 - x_k) and V_s+- = |N+-| / d+-,
     N+- = 1 +- s + 2cq, d+- = A + (1 -+ s) q^4, A = 2 + 2cq and Delta = d+ d-.
     """
-    c, s = pt.c2, pt.s2
+    c, s, q = pt.c2, pt.s2, pt.q
     q4, big_a = q ** 4, 2 + 2 * c * q
     delta = big_a * big_a + 2 * big_a * q4 + c * c * q4 * q4
     n_plus, n_minus = 1 + s + 2 * c * q, 1 - s + 2 * c * q
@@ -171,21 +153,11 @@ def _epsilon_closed_mp(pt: _mpcore.Point, q):
     return one_minus_d * (2 - one_minus_d) - max(((c + e) / (1 + c * e)) ** 2 for e in (pt.e1, pt.e2))
 
 
-# The report's fields are float64s formed from O(1) braces: at 345 digits the rounding error of
-# each lies far below float64's smallest subnormal, 4.9e-324, so W near 1e-288 rounds correctly too.
-_REPORT_DPS = 345
-
-
-def _report_workdps(params: SetupParams):
-    return _mpcore.workdps(min(_mpcore.digits(params), _REPORT_DPS))
-
-
 def epsilon_and_bound(params: SetupParams) -> tuple[float, float]:
     """(1 - V^2 - D^2, 2 e^{-2 a g}); the first is guaranteed smaller in magnitude."""
-    with _report_workdps(params):
+    with _mpcore._report_workdps(params):
         pt = _mpcore.point(params)
-        bound = bound_mp(pt)
-        return float(_epsilon_closed_mp(pt, bound / 2)), float(bound)
+        return float(_epsilon_closed_mp(pt)), float(bound_mp(pt))
 
 
 @dataclass(frozen=True)
@@ -262,10 +234,9 @@ class VisibilityReport(Report):
 
 
 def visibility_report(params: SetupParams) -> VisibilityReport:
-    with _report_workdps(params):
+    with _mpcore._report_workdps(params):
         pt = _mpcore.point(params)
         vis = _measures_mp(pt)
-        bound = bound_mp(pt)
         return VisibilityReport(
             params=params,
             v_k1=float(vis["k1"]),
@@ -277,7 +248,7 @@ def visibility_report(params: SetupParams) -> VisibilityReport:
             V=float(vis["V"]),
             W=float(vis["W"]),
             D=float(vis["D"]),
-            epsilon=float(_epsilon_closed_mp(pt, bound / 2)),
-            bound=float(bound),
+            epsilon=float(_epsilon_closed_mp(pt)),
+            bound=float(bound_mp(pt)),
             regime_warning=params.regime_warning,
         )

@@ -320,7 +320,7 @@ class TestGoldenOutput:
                                         "--sweep-stop", "30", "--sweep-count", "16", "--format", "csv"]),
         # every column of each row read at 50 digits, from one record and one k1/k2 table
         ("sweep_fig4_xi0.7", ["sweep", "--figure", "fig4", "--xi", "0.7", "--format", "csv"]),
-        # V, D and the bound at 56 to 290 digits, F and R at 50, under the b4_pi4 convention
+        # every column of each row at 56 to 290 digits, under the b4_pi4 convention
         ("sweep_h1-2_xi0.3_a6-60_n9_b4_pi4", ["sweep", "--h1", "1", "--h2", "2", "--xi", "0.3", "--sweep-start", "6",
                                               "--sweep-stop", "60", "--sweep-count", "9", "--convention", "b4_pi4",
                                               "--format", "csv"]),

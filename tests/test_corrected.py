@@ -203,6 +203,17 @@ class TestVisibilityF:
         v = visibility_report(p_uneq).V
         assert v * v + corrected_f(p_uneq).F ** 2 == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("p, convention, overshoot", [
+        (SetupParams(2.0, 1.0, 2.0, 0.45), "b4_xi", "2.80e-02"),
+        (SetupParams(2.0, 1.0, 2.0, 0.45), "b4_pi4", "2.01e-04"),
+        (SetupParams(2.116, 1.093, 1.093, 0.568), "b4_xi", "5.61e-03"),
+    ])
+    def test_sum_rule_exceeds_one_inside_the_regime(self, p, convention, overshoot):
+        # at finite a, V^2 + F^2 - 1 is exponentially small but of either sign, as epsilon is
+        assert not p.regime_warning
+        v = visibility_report(p).V
+        assert f"{v * v + corrected_f(p, convention).F ** 2 - 1.0:.2e}" == overshoot
+
     @pytest.mark.parametrize("convention", ["b4_xi", "b4_pi4"])
     def test_unequal_slits_give_one_contrast_for_both_signs(self, convention):
         # the s- envelope pair is the s+ pair exchanged, and the contrast is symmetric in it

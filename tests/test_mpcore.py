@@ -49,11 +49,22 @@ POINTS = [
 ]
 
 
+def _caches() -> set:
+    """Every ``functools.lru_cache`` bound in the scalar kernel's modules."""
+    return {value for module in (_mpcore, visibility) for value in vars(module).values()
+            if hasattr(value, "cache_clear")}
+
+
 def _fresh(build):
-    """``build()`` with the memoized slit, angle and brace constants and k1/k2 contrasts evaluated anew."""
-    for cached in (_mpcore._slits, _mpcore._angle, _mpcore._q, _mpcore._braces, visibility._k_contrasts_mp):
+    """``build()`` with every memoized constant of the scalar kernel evaluated anew."""
+    for cached in _caches():
         cached.cache_clear()
     return build()
+
+
+def test_the_kernel_memoizes_only_the_slits_the_angle_and_the_braces():
+    # a new cache arrives with its traffic and an edit here
+    assert {cached.__name__ for cached in _caches()} == {"_slits", "_angle", "_braces"}
 
 
 class TestPoint:
@@ -69,7 +80,7 @@ class TestPoint:
                 assert pt.b2 == b2_mp(p.a, p.h1, p.h2, p.xi)
                 br = _mpcore.braces(pt)
                 a, h1, h2 = pt.a, pt.h1, pt.h2
-                assert _mpcore.q(pt) == mpmath.exp(-2 * a * ((h1 * h2) ** 2 / (h1 * h1 + h2 * h2)))
+                assert pt.q == mpmath.exp(-2 * a * ((h1 * h2) ** 2 / (h1 * h1 + h2 * h2)))
                 assert (br.f1, br.f2) == (mpmath.exp(-a * h1 * h1), mpmath.exp(-a * h2 * h2))
                 assert (br.fm, br.fp) == (mpmath.exp(-a * (h1 - h2) ** 2), mpmath.exp(-a * (h1 + h2) ** 2))
 
@@ -78,7 +89,7 @@ class TestPoint:
         # the xi = pi/4 reference shares p's slit exponentials, and each precision has its own
         def records():
             points = [_mpcore.point(r) for r in (p, p.with_xi(PI / 4.0))]
-            return [(pt, _mpcore.q(pt), _mpcore.braces(pt)) for pt in points]
+            return [(pt, _mpcore.braces(pt)) for pt in points]
 
         for context in (_mpcore.workdps(), _mpcore.workdps(p)):
             with context:
@@ -124,12 +135,12 @@ def _count_calls(monkeypatch, module, names):
 def test_one_report_evaluates_few_transcendentals(monkeypatch, convention):
     # one report's three scalar families: 85 exp, 22 cos and 22 sin calls before they shared
     # the record, 39 exp calls before the braces read the point's exponentials and the
-    # records were shared; now e1, e2 and the five brace exponentials at the report's
-    # 160 digits, and e1, e2 at 50
+    # records were shared; now e1, e2, q and the four k+- brace exponentials at the report's
+    # 160 digits, and e1, e2 and q at 50
     p = SetupParams(30.0, 1.0, 2.0, 0.3)
     counts = _count_calls(monkeypatch, mpmath, ("exp", "cos", "sin", "cos_sin"))
     _fresh(lambda: (visibility_report(p), corrected_f(p, convention), complementarity_sums(p)))
-    assert counts["exp"] <= 12, counts
+    assert counts["exp"] <= 10, counts
     # a cos_sin call evaluates both
     assert counts["cos"] + counts["cos_sin"] <= 10 and counts["sin"] + counts["cos_sin"] <= 10, counts
 
@@ -154,21 +165,23 @@ def test_three_reports_at_a_50_digit_point_evaluate_the_slit_exponentials_once(m
 
 @pytest.mark.parametrize("convention", ["b4_xi", "b4_pi4"])
 def test_a_sweep_row_evaluates_q_without_the_k_pm_exponentials(monkeypatch, convention):
-    # the row reads e1, e2 and q at the report's 160 digits and e1, e2 at 50; the four
-    # k+- brace exponentials, which only the report's k+ and k- contrasts read, never run
+    # the row reads e1, e2 and q at the report's 160 digits and at no other precision; the
+    # four k+- brace exponentials, which only the report's k+ and k- contrasts read, never run
     p = SetupParams(30.0, 1.0, 2.0, 0.3)
     assert _mpcore.digits(p) > _mpcore.DPS
     counts = _count_calls(monkeypatch, mpmath, ("exp",))
     _fresh(lambda: _sweep_row(p, convention))
-    assert counts["exp"] == 5, counts
+    assert counts["exp"] == 3, counts
     counts["exp"] = 0
     _fresh(lambda: epsilon_and_bound(p))
     assert counts["exp"] == 3, counts
 
 
-def test_one_k1_k2_table_per_record(monkeypatch):
-    # at a 50-digit point the report, the sums and the sweep row read one k1/k2 table;
-    # at a deeper point the report's table has its own precision, and the others share the 50-digit one
+@pytest.mark.parametrize("entry", [visibility_report, complementarity_sums, lambda p: _sweep_row(p, "b4_xi")],
+                         ids=["visibility_report", "complementarity_sums", "_sweep_row"])
+@pytest.mark.parametrize("p", [SetupParams(5.0, 1.0, 1.5, 0.7), SetupParams(30.0, 1.0, 2.0, 0.3)],
+                         ids=["50-digits", "a=30"])
+def test_each_entry_point_builds_one_k1_k2_table(monkeypatch, entry, p):
     built = []
     table = visibility._envelope_table_mp
 
@@ -177,10 +190,8 @@ def test_one_k1_k2_table_per_record(monkeypatch):
         return table(pt, observables)
 
     monkeypatch.setattr(visibility, "_envelope_table_mp", recorded)
-    for p, tables in ((SetupParams(5.0, 1.0, 1.5, 0.7), 1), (SetupParams(30.0, 1.0, 2.0, 0.3), 2)):
-        built.clear()
-        _fresh(lambda: (visibility_report(p), complementarity_sums(p), _sweep_row(p, "b4_xi")))
-        assert len(built) == tables, (p, built)
+    _fresh(lambda: entry(p))
+    assert len(built) == 1, built
 
 
 @pytest.mark.parametrize("entry", [visibility_report, epsilon_and_bound])

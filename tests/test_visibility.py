@@ -18,7 +18,7 @@ from pairvis import (
 )
 from pairvis import _mpcore
 from pairvis.radon import OBSERVABLES, RadonAngle, _marginal_brace
-from pairvis.visibility import _envelope_table_mp, _epsilon_closed_mp, _report_workdps, bound_mp, epsilon_mp
+from pairvis.visibility import _envelope_table_mp, _epsilon_closed_mp, bound_mp, epsilon_mp
 from test_mpcore import trig2
 
 PI = math.pi
@@ -262,9 +262,9 @@ class TestClosedFormEpsilon:
         for p in (p for p in _closed_form_lattice() if p.a == a):
             with _mpcore.workdps(_mpcore.digits(p) + 60):
                 ref = epsilon_mp(_mpcore.point(p))
-            with _report_workdps(p):
+            with _mpcore._report_workdps(p):
                 pt = _mpcore.point(p)
-                eps = _epsilon_closed_mp(pt, bound_mp(pt) / 2)
+                eps = _epsilon_closed_mp(pt)
             with mpmath.workdps(400):
                 assert abs(eps - ref) <= mpmath.mpf("1e-40") * abs(ref), p
 
